@@ -56,10 +56,8 @@ int main() {
   const sim::Time horizon = 20_s;
   scenario->run_until(horizon);
 
-  std::printf("hand-written spec (%zu nodes, %zu links, %s backend):\n",
-              spec.nodes.size(), spec.links.size(),
-              scenario->backend() == sim::QueueBackend::kCalendarQueue ? "calendar"
-                                                                       : "heap");
+  std::printf("hand-written spec (%zu nodes, %zu links):\n", spec.nodes.size(),
+              spec.links.size());
   const auto goodputs = scenario->goodputs_mbps(0_s, horizon);
   const char* labels[] = {"end-to-end (rss)", "hop-0 cross (reno)", "hop-1 cross (reno)"};
   for (std::size_t i = 0; i < goodputs.size(); ++i)

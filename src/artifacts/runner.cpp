@@ -213,7 +213,7 @@ int artifacts_main(int argc, char** argv, std::string default_goldens_dir) {
   // Same flag surface as rss_scenario: install the execution flags as the
   // process-wide defaults so every experiment's internal sweeps and
   // partitioned builds draw on one thread budget.
-  if (!exec.install()) return 2;
+  exec.install();
 
   if (goldens_dir.empty()) {
     // The build embeds <source-tree>/artifacts/goldens; use it as long as

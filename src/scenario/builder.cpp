@@ -118,19 +118,9 @@ ScenarioBuilder& ScenarioBuilder::seed(std::uint64_t seed) {
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::backend(sim::QueueBackend backend) {
-  spec_.backend = backend;
-  return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::execution(ExecutionPolicy policy) {
   spec_.execution = policy;
   return *this;
-}
-
-sim::QueueBackend ScenarioBuilder::auto_backend(const TopologySpec& spec,
-                                                const RouteTable& routes) {
-  return ExecutionPolicy{}.resolve_backend(estimated_pending_events(spec, routes));
 }
 
 std::unique_ptr<Scenario> ScenarioBuilder::build(const FlowCcFactory& cc_factory) const {
@@ -201,14 +191,10 @@ std::unique_ptr<Scenario> ScenarioBuilder::build(const FlowCcFactory& cc_factory
           static_cast<double>(opt.peak_rate.bits_per_second());
   }
 
-  // Resolve the execution policy; spec.backend is the deprecated alias and
-  // loses to an explicitly set execution.backend, and the process-wide
-  // defaults (CLI --backend/--partitions) are the lowest-precedence layer.
+  // Resolve the execution policy; the process-wide defaults (CLI
+  // --partitions) are the lowest-precedence layer.
   ExecutionPolicy policy = spec_.execution;
-  if (!policy.backend && spec_.backend) policy.backend = spec_.backend;
   const ExecutionDefaults& process_defaults = execution_defaults();
-  if (!policy.backend && process_defaults.backend)
-    policy.backend = process_defaults.backend;
   if (policy.partitions == 1 && process_defaults.partitions > 1)
     policy.partitions = process_defaults.partitions;
   if (policy.partitions == 0)
@@ -257,12 +243,6 @@ std::unique_ptr<Scenario> ScenarioBuilder::build(const FlowCcFactory& cc_factory
   }
   const std::size_t parts = std::max<std::size_t>(sim::partition_count(assignment), 1);
 
-  // Backend auto-select sees each partition's share of the pending-event
-  // estimate — a partition runs its own scheduler over roughly 1/parts of
-  // the events.
-  const std::size_t estimated = estimated_pending_events(spec_, routes);
-  const sim::QueueBackend backend = policy.resolve_backend(estimated / parts);
-
   // make_unique needs a public constructor; the builder is a friend, so
   // construct directly.
   std::unique_ptr<Scenario> scenario{new Scenario(spec_, std::move(routes))};
@@ -271,7 +251,7 @@ std::unique_ptr<Scenario> ScenarioBuilder::build(const FlowCcFactory& cc_factory
   scenario->lookahead_ = lookahead;
   for (std::size_t p = 0; p < parts; ++p) {
     scenario->sims_.push_back(
-        std::make_unique<sim::Simulation>(spec.seed + p, backend));
+        std::make_unique<sim::Simulation>(spec.seed + p));
     // Origins label nodes (spec index + 1) plus the shared stream 0;
     // pre-sizing keeps ranked scheduling allocation-free on the hot path.
     scenario->sims_.back()->scheduler().reserve_origins(spec.nodes.size() + 1);
@@ -286,8 +266,7 @@ std::unique_ptr<Scenario> ScenarioBuilder::build(const FlowCcFactory& cc_factory
     scenario->engine_ = std::make_unique<sim::PartitionedEngine>(
         std::move(sim_ptrs),
         sim::PartitionedEngine::Options{.lookahead = lookahead,
-                                        .threads = policy.resolve_threads(parts),
-                                        .deterministic_merge = policy.deterministic_merge});
+                                        .threads = policy.resolve_threads(parts)});
   }
 
   const auto sim_of_node = [&](std::size_t n) -> sim::Simulation& {

@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "net/link.hpp"
@@ -34,27 +33,11 @@ namespace rss::scenario {
 /// named-accessor wrapper around the built Scenario.
 class Dumbbell {
  public:
-  /// Flow count at which backend auto-selection switches to the calendar
-  /// queue — the measured crossover on bench_micro_substrate's host (see
-  /// README "Choosing a QueueBackend"). Equivalent to the builder's
-  /// generalized ScenarioBuilder::kCalendarQueuePendingEvents threshold:
-  /// each dumbbell flow contributes ~5 pending events (2 timers + 3 hops).
-  static constexpr std::size_t kCalendarQueueFlowThreshold = 32;
-
   struct Config {
     std::size_t flows{2};
     std::uint64_t seed{1};
-    /// Deprecated alias for execution.backend (kept so existing call sites
-    /// and spec round-trips stay byte-identical; an explicitly set
-    /// execution.backend wins). Event-queue backend — purely a speed knob,
-    /// pop order is backend-independent (parity-tested). Defaults to
-    /// auto-selection from the measured crossover: the calendar queue wins
-    /// once enough flows keep the pending set dense (bench_micro_substrate
-    /// measures ~+12% at 32+ flows, -25% at 16), the binary heap wins
-    /// below. Set explicitly to pin a backend.
-    std::optional<sim::QueueBackend> backend{};
-    /// Full execution policy (backend, partitions, thread budget) — the
-    /// preferred surface; see scenario::ExecutionPolicy.
+    /// Execution policy (partitions, thread budget); see
+    /// scenario::ExecutionPolicy.
     ExecutionPolicy execution{};
     net::DataRate access_rate{net::DataRate::gbps(1)};
     net::DataRate bottleneck_rate{net::DataRate::mbps(100)};

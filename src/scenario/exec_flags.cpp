@@ -2,31 +2,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <string_view>
 
 namespace rss::scenario {
 
 namespace {
-
-/// "binary_heap"/"calendar_queue"/"auto" -> backend (auto = nullopt);
-/// std::nullopt wrapped in outer optional absence signals an unknown name.
-[[nodiscard]] bool lookup_backend(std::string_view name,
-                                  std::optional<sim::QueueBackend>& out) {
-  if (name == "binary_heap") {
-    out = sim::QueueBackend::kBinaryHeap;
-    return true;
-  }
-  if (name == "calendar_queue") {
-    out = sim::QueueBackend::kCalendarQueue;
-    return true;
-  }
-  if (name == "auto") {
-    out = std::nullopt;
-    return true;
-  }
-  return false;
-}
 
 [[nodiscard]] bool parse_count(const char* flag, int argc, char** argv, int& i,
                                std::size_t& out) {
@@ -48,54 +28,27 @@ namespace {
 
 ExecFlags::Parse ExecFlags::parse(int argc, char** argv, int& i) {
   const std::string_view arg = argv[i];
-  if (arg == "--jobs" || arg == "--threads")
+  if (arg == "--jobs")
     return parse_count("--jobs", argc, argv, i, jobs) ? Parse::kConsumed : Parse::kError;
   if (arg == "--partitions")
     return parse_count("--partitions", argc, argv, i, partitions) ? Parse::kConsumed
                                                                   : Parse::kError;
-  if (arg == "--backend") {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "--backend needs a name argument\n");
-      return Parse::kError;
-    }
-    backend = argv[++i];
-    std::optional<sim::QueueBackend> ignored;
-    if (!lookup_backend(backend, ignored)) {
-      std::fprintf(stderr,
-                   "--backend: unknown backend '%s' (expected binary_heap, "
-                   "calendar_queue, or auto)\n",
-                   backend.c_str());
-      return Parse::kError;
-    }
-    return Parse::kConsumed;
-  }
   return Parse::kNotMine;
 }
 
 const char* ExecFlags::help() {
   return "  --jobs <n>               total thread budget shared by sweep points and\n"
          "                           partition engines (default: all cores)\n"
-         "  --backend <name>         event-queue backend: binary_heap, calendar_queue,\n"
-         "                           or auto (a speed knob; results are identical)\n"
          "  --partitions <n>         run each scenario across n partitions\n";
 }
 
-bool ExecFlags::install() const {
+void ExecFlags::install() const {
   ExecutionDefaults& defaults = execution_defaults();
-  if (!backend.empty() && !lookup_backend(backend, defaults.backend)) {
-    std::fprintf(stderr, "unknown backend: %s\n", backend.c_str());
-    return false;
-  }
   if (jobs != 0) defaults.thread_budget = jobs;
   if (partitions != 0) defaults.partitions = partitions;
-  return true;
 }
 
 void ExecFlags::apply(ExecutionPolicy& policy) const {
-  if (!backend.empty()) {
-    std::optional<sim::QueueBackend> parsed;
-    if (lookup_backend(backend, parsed)) policy.backend = parsed;
-  }
   if (partitions != 0) policy.partitions = partitions;
 }
 

@@ -32,7 +32,6 @@ TopologySpec ParkingLot::make_spec(const Config& config) {
 
   TopologySpec spec;
   spec.seed = config.seed;
-  spec.backend = config.backend;
   spec.execution = config.execution;
 
   for (std::size_t r = 0; r <= config.hops; ++r) spec.nodes.push_back(router_name(r));
@@ -133,7 +132,6 @@ TopologySpec MultiBottleneckChain::make_spec(const Config& config) {
 
   TopologySpec spec;
   spec.seed = config.seed;
-  spec.backend = config.backend;
   spec.execution = config.execution;
 
   for (std::size_t r = 0; r <= hops; ++r) spec.nodes.push_back(router_name(r));
@@ -212,7 +210,6 @@ TopologySpec ScaleMesh::make_spec(const Config& config) {
 
   TopologySpec spec;
   spec.seed = config.seed;
-  spec.backend = config.backend;
   spec.execution = config.execution;
 
   const auto seg = [](const char* prefix, std::size_t i) {

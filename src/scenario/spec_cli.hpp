@@ -39,7 +39,7 @@ namespace rss::scenario::spec {
 [[nodiscard]] metrics::Table run_spec_file(const std::string& path,
                                            std::size_t max_threads = 0);
 
-/// ExecFlags-driven variants: --backend/--partitions override every sweep
+/// ExecFlags-driven variants: --partitions overrides every sweep
 /// point's execution policy, and --jobs is one budget shared by the sweep
 /// workers and the partition engines inside each point (each partitioned
 /// point that doesn't pin its own thread count gets budget / workers).

@@ -1077,22 +1077,18 @@ JsonValue flow_to_json(const FlowSpec& f, const std::string& cc) {
   return o;
 }
 
-[[nodiscard]] std::optional<sim::QueueBackend> parse_backend_name(const JsonValue& x,
-                                                                  const std::string& field) {
-  const std::string& b = x.as_string(field);
-  if (b == "binary_heap") return sim::QueueBackend::kBinaryHeap;
-  if (b == "calendar_queue") return sim::QueueBackend::kCalendarQueue;
-  if (b == "auto") return std::nullopt;
-  fail(SpecError::Code::kBadValue, field, x.line,
-       "unknown backend '" + b +
-           "' (expected \"binary_heap\", \"calendar_queue\", or \"auto\")");
+/// The queue-backend keys are gone, not unknown: name the replacement so an
+/// old spec fails with a fix instead of a bare unknown-field error.
+[[noreturn]] void fail_backend_key(const JsonValue& x, const std::string& field) {
+  fail(SpecError::Code::kUnknownField, field, x.line,
+       "the \"backend\" key was removed: the binary heap is the only event queue; "
+       "delete this key");
 }
 
 [[nodiscard]] ExecutionPolicy parse_execution(const JsonValue& v, const std::string& path) {
   ObjectReader r{v, path};
   ExecutionPolicy policy;
-  if (const auto* x = r.opt("backend"))
-    policy.backend = parse_backend_name(*x, r.path_of("backend"));
+  if (const auto* x = r.opt("backend")) fail_backend_key(*x, r.path_of("backend"));
   if (const auto* x = r.opt("partitions")) {
     const std::string field = r.path_of("partitions");
     policy.partitions = static_cast<std::size_t>(x->as_u64(field));
@@ -1110,8 +1106,6 @@ JsonValue flow_to_json(const FlowSpec& f, const std::string& cc) {
   }
   if (const auto* x = r.opt("threads"))
     policy.threads = static_cast<std::size_t>(x->as_u64(r.path_of("threads")));
-  if (const auto* x = r.opt("deterministic_merge"))
-    policy.deterministic_merge = x->as_bool(r.path_of("deterministic_merge"));
   r.finish();
   return policy;
 }
@@ -1121,18 +1115,12 @@ JsonValue flow_to_json(const FlowSpec& f, const std::string& cc) {
 [[nodiscard]] JsonValue execution_to_json(const ExecutionPolicy& policy) {
   const ExecutionPolicy def{};
   JsonValue o = JsonValue::make_object();
-  if (policy.backend)
-    o.set("backend", JsonValue::make_string(*policy.backend == sim::QueueBackend::kBinaryHeap
-                                                ? "binary_heap"
-                                                : "calendar_queue"));
   if (policy.partitions != def.partitions)
     o.set("partitions",
           JsonValue::make_number(static_cast<std::uint64_t>(policy.partitions)));
   if (policy.strategy != def.strategy) o.set("strategy", JsonValue::make_string("block"));
   if (policy.threads != def.threads)
     o.set("threads", JsonValue::make_number(static_cast<std::uint64_t>(policy.threads)));
-  if (policy.deterministic_merge != def.deterministic_merge)
-    o.set("deterministic_merge", JsonValue::make_bool(policy.deterministic_merge));
   return o;
 }
 
@@ -1170,10 +1158,7 @@ ScenarioSpec parse_scenario_spec(const JsonValue& document) {
   s.name = "scenario";
   if (const auto* x = r.opt("name")) s.name = x->as_string("name");
   if (const auto* x = r.opt("seed")) s.topology.seed = x->as_u64("seed");
-  // Top-level "backend" is the deprecated alias for execution.backend; both
-  // parse, and the builder resolves the precedence (execution wins).
-  if (const auto* x = r.opt("backend"))
-    s.topology.backend = parse_backend_name(*x, "backend");
+  if (const auto* x = r.opt("backend")) fail_backend_key(*x, "backend");
   if (const auto* x = r.opt("execution"))
     s.topology.execution = parse_execution(*x, "execution");
 
@@ -1248,12 +1233,6 @@ JsonValue scenario_spec_to_json(const ScenarioSpec& spec) {
   if (spec.name != "scenario") root.set("name", JsonValue::make_string(spec.name));
   if (spec.topology.seed != TopologySpec{}.seed)
     root.set("seed", JsonValue::make_number(spec.topology.seed));
-  if (spec.topology.backend) {
-    root.set("backend",
-             JsonValue::make_string(*spec.topology.backend == sim::QueueBackend::kBinaryHeap
-                                        ? "binary_heap"
-                                        : "calendar_queue"));
-  }
   // Emitted only when non-default, so pre-execution specs (and all the
   // goldens) stay byte-identical through a round trip.
   if (!spec.topology.execution.is_default())

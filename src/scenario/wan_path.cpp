@@ -5,7 +5,6 @@ namespace rss::scenario {
 TopologySpec WanPath::make_spec(const Config& config) {
   TopologySpec spec;
   spec.seed = config.seed;
-  spec.backend = config.backend;
   spec.execution = config.execution;
   spec.nodes = {"sender", "receiver"};
 

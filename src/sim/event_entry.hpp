@@ -7,12 +7,11 @@
 
 namespace rss::sim {
 
-/// One queued occurrence of a scheduled event — the single entry type both
-/// Scheduler backends (binary heap and CalendarQueue) store. It is a 40-byte
-/// trivially-copyable handle: the callback itself lives in the Scheduler's
-/// slot arena, addressed by `slot` and validated by `gen` (a generation
-/// counter that detects stale entries left behind by lazy cancellation and
-/// slot reuse).
+/// One queued occurrence of a scheduled event — the entry type the
+/// Scheduler's binary heap stores. It is a 40-byte trivially-copyable
+/// handle: the callback itself lives in the Scheduler's slot arena,
+/// addressed by `slot` and validated by `gen` (a generation counter that
+/// detects stale entries left behind by lazy cancellation and slot reuse).
 ///
 /// Pop order is event_entry_before (below): (at, birth), then the hashed
 /// tagged streams, then the untagged stream in plain insertion order.
@@ -21,7 +20,7 @@ namespace rss::sim {
 /// stream: for a single simulation birth is non-decreasing in seq there
 /// (now() never runs backwards), so the birth tie-break is provably inert
 /// and pop order is plain (time, insertion-sequence), which keeps every
-/// reproduced artifact deterministic across backends.
+/// reproduced artifact deterministic.
 ///
 /// The extra fields exist for partitioned execution. A cross-partition
 /// handoff is physically inserted late (at the window boundary drain) but
@@ -58,7 +57,7 @@ static_assert(std::is_trivially_copyable_v<EventEntry>);
   return x ^ (x >> 31);
 }
 
-/// Strict-weak "fires earlier" order shared by both Scheduler backends:
+/// Strict-weak "fires earlier" order of the Scheduler's heap:
 /// (at, birth), then tagged origins (hashed, ties by (origin, seq)) before
 /// the untagged stream 0 (plain insertion sequence — the legacy contract
 /// "same-timestamp events fire in insertion order" is untouched because an

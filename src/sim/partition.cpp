@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <barrier>
-#include <cassert>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -42,6 +42,19 @@ struct DisjointSets {
   std::vector<std::size_t> parent;
   std::vector<std::size_t> size;
 };
+
+/// Conservative lookahead guarantees every handoff lands strictly after the
+/// destination's clock; one that does not would run out of order (or, when
+/// due exactly at now(), silently so), so the window loop reports it.
+[[noreturn]] void throw_causality_violation(std::size_t partition, Time deliver_at, Time now,
+                                            Time lookahead) {
+  std::ostringstream msg;
+  msg << "PartitionedEngine: conservative lookahead " << lookahead
+      << " violated: a cross-partition handoff due at " << deliver_at << " reached partition "
+      << partition << " at " << now
+      << " (the lookahead must not exceed any cross-partition link's latency)";
+  throw std::logic_error(msg.str());
+}
 
 void check_edges(std::size_t node_count, const std::vector<PartitionEdge>& edges) {
   for (const auto& e : edges) {
@@ -228,17 +241,15 @@ void PartitionedEngine::drain_partition(std::size_t p) {
     for (const StagedHandoff& h : channels_[id].staged()) scratch.push_back(&h);
   }
   if (scratch.empty()) return;
-  if (options_.deterministic_merge) {
-    std::sort(scratch.begin(), scratch.end(),
-              [](const StagedHandoff* x, const StagedHandoff* y) {
-                if (x->deliver_at != y->deliver_at) return x->deliver_at < y->deliver_at;
-                if (x->staged_at != y->staged_at) return x->staged_at < y->staged_at;
-                if (x->channel != y->channel) return x->channel < y->channel;
-                return x->seq < y->seq;
-              });
-  }
+  std::sort(scratch.begin(), scratch.end(), [](const StagedHandoff* x, const StagedHandoff* y) {
+    if (x->deliver_at != y->deliver_at) return x->deliver_at < y->deliver_at;
+    if (x->staged_at != y->staged_at) return x->staged_at < y->staged_at;
+    if (x->channel != y->channel) return x->channel < y->channel;
+    return x->seq < y->seq;
+  });
   for (const StagedHandoff* h : scratch) {
-    assert(h->deliver_at > sims_[p]->now() && "conservative lookahead violated");
+    if (h->deliver_at <= sims_[p]->now())
+      throw_causality_violation(p, h->deliver_at, sims_[p]->now(), options_.lookahead);
     h->deliver(h->endpoint, h->payload, h->deliver_at, h->staged_at, h->origin, h->rank);
   }
   handoffs_[p] += scratch.size();

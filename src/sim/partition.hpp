@@ -205,10 +205,6 @@ class PartitionedEngine {
     /// hardware_concurrency() report of 0 (permitted by the standard) falls
     /// back to 1.
     std::size_t threads{0};
-    /// Sort merged handoffs before scheduling (see class comment). Turning
-    /// this off keeps runs deterministic only for single-channel
-    /// partitions; it exists to measure the cost of the sort.
-    bool deterministic_merge{true};
   };
 
   /// `partitions[p]` must outlive the engine; each Simulation is driven

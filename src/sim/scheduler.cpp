@@ -15,7 +15,7 @@ EventId Scheduler::schedule_train(Time start, Time stride, std::uint64_t count,
       throw std::invalid_argument("Scheduler: multi-event train at/with infinity");
     // The continuation in step() computes at + stride per firing; reject
     // trains whose last firing would overflow the int64 nanosecond clock
-    // (which would silently run the heap backend's clock backwards).
+    // (which would silently run the scheduler's clock backwards).
     const auto start_ns = static_cast<std::uint64_t>(start.nanoseconds_count());
     const auto stride_ns = static_cast<std::uint64_t>(stride.nanoseconds_count());
     const auto headroom =
@@ -38,15 +38,12 @@ EventId Scheduler::arm_with_rank(Time at, Time stride, std::uint64_t count, Call
   const std::uint32_t index = acquire_slot();
   Slot& slot = slots_[index];
   slot.cb = std::move(cb);
-  slot.at = at;
-  slot.birth = birth;
   slot.stride = stride;
-  slot.seq = rank;
   slot.origin = origin;
   slot.remaining = count;
   slot.armed = true;
   ++live_;
-  push_entry(EventEntry{at, birth, slot.seq, index, slot.gen, origin});
+  heap_.push(EventEntry{at, birth, rank, index, slot.gen, origin});
   return EventId{index, slot.gen};
 }
 
@@ -73,28 +70,14 @@ void Scheduler::release_slot(std::uint32_t index) {
   --live_;
 }
 
-void Scheduler::push_entry(const EventEntry& entry) {
-  if (backend_ == QueueBackend::kCalendarQueue) {
-    calendar_.push(entry);
-  } else {
-    heap_.push(entry);
-  }
-}
-
 bool Scheduler::cancel(EventId id) {
   if (!id.valid()) return false;
   const std::uint32_t index = id.slot();
   if (index >= slots_.size()) return false;
   Slot& slot = slots_[index];
   if (!slot.armed || slot.gen != id.gen()) return false;
-  if (backend_ == QueueBackend::kCalendarQueue) {
-    // May find nothing when a train's current occurrence is mid-flight
-    // (popped, callback executing): releasing the slot below is what stops
-    // the train from re-enqueueing.
-    (void)calendar_.remove(slot.at, slot.birth, slot.origin, slot.seq);
-  }
   release_slot(index);
-  if (backend_ == QueueBackend::kBinaryHeap) skim_dead_heap_top();
+  skim_dead_heap_top();
   return true;
 }
 
@@ -108,25 +91,16 @@ void Scheduler::skim_dead_heap_top() {
 }
 
 Time Scheduler::next_event_time() const {
-  if (backend_ == QueueBackend::kCalendarQueue) {
-    return calendar_.empty() ? Time::infinity() : calendar_.peek_min().at;
-  }
   // Heap-top invariant: skims at cancel/pop boundaries guarantee a live top.
   return heap_.empty() ? Time::infinity() : heap_.top().at;
 }
 
 bool Scheduler::step() {
   if (stop_requested_) return false;
-  EventEntry entry;
-  if (backend_ == QueueBackend::kCalendarQueue) {
-    if (calendar_.empty()) return false;
-    entry = calendar_.pop_min();
-  } else {
-    if (heap_.empty()) return false;
-    entry = heap_.top();
-    heap_.pop();
-    skim_dead_heap_top();
-  }
+  if (heap_.empty()) return false;
+  const EventEntry entry = heap_.top();
+  heap_.pop();
+  skim_dead_heap_top();
   now_ = entry.at;
   ++executed_;
   // Move the callback out of the arena before invoking it: the callback may
@@ -150,10 +124,9 @@ bool Scheduler::step() {
     Slot& slot = slots_[entry.slot];
     if (slot.armed && slot.gen == entry.gen) {
       slot.cb = std::move(cb);
-      slot.at = entry.at + slot.stride;
-      slot.birth = now_;  // re-enqueued at fire time, like the chained pattern
-      slot.seq = draw_rank(slot.origin);
-      push_entry(EventEntry{slot.at, slot.birth, slot.seq, entry.slot, slot.gen, slot.origin});
+      // Re-enqueued at fire time (birth = now), like the chained pattern.
+      heap_.push(EventEntry{entry.at + slot.stride, now_, draw_rank(slot.origin), entry.slot,
+                            slot.gen, slot.origin});
     }
   }
   return true;

@@ -7,22 +7,14 @@
 #include <utility>
 #include <vector>
 
-#include "sim/calendar_queue.hpp"
 #include "sim/event_entry.hpp"
 #include "sim/inline_callback.hpp"
 #include "sim/time.hpp"
 
 namespace rss::sim {
 
-/// Event-queue implementation behind Scheduler. Both backends honor the
-/// same contract — (time, insertion-sequence) pop order — so the choice is
-/// purely a performance knob: the binary heap is the robust default, the
-/// calendar queue is O(1) amortized on dense near-uniform event spacings
-/// (packet serializations at line rate).
-enum class QueueBackend {
-  kBinaryHeap,
-  kCalendarQueue,
-};
+/// Exists only for perfbench/layers.cpp's `Scheduler{ExecutionPolicy{}.resolve_backend(n)}`.
+enum class QueueBackend { kBinaryHeap };
 
 /// Opaque handle to a scheduled event (or event train), used for
 /// cancellation. Encodes an arena slot index plus a generation counter, so
@@ -50,7 +42,7 @@ class EventId {
 };
 
 /// Discrete-event scheduler: (time, insertion-sequence) ordered callbacks
-/// behind a selectable queue backend.
+/// on a binary heap.
 ///
 /// Same-timestamp events fire in insertion order (the sequence tiebreak),
 /// which keeps simulations deterministic regardless of queue internals —
@@ -59,25 +51,21 @@ class EventId {
 ///
 /// The event core is allocation-free on the hot path. Callbacks are
 /// InlineCallback (small-buffer, no heap fallback) and live in a slot
-/// arena recycled through a free list; both backends store only the 40-byte
+/// arena recycled through a free list; the heap stores only the 40-byte
 /// POD EventEntry. Cancellation resolves an EventId to its slot in O(1)
 /// with no hashing — the TCP retransmission timer is rescheduled on every
-/// ACK, so this path is hot. The heap backend cancels lazily (the pop loop
-/// discards entries whose generation no longer matches) but always skims
-/// dead entries off the top at cancel/pop boundaries, so next_event_time()
-/// and empty() are genuinely const. The calendar backend cancels eagerly
-/// (buckets are sorted vectors, so removal is a cheap binary search) —
-/// required anyway, because popping a dead far-future entry would advance
-/// the calendar's monotonic floor past times that are still schedulable.
+/// ACK, so this path is hot. Cancellation is lazy (the pop loop discards
+/// entries whose generation no longer matches), but dead entries are always
+/// skimmed off the top at cancel/pop boundaries, so next_event_time() and
+/// empty() are genuinely const.
 class Scheduler {
  public:
   using Callback = InlineCallback;
 
-  explicit Scheduler(QueueBackend backend = QueueBackend::kBinaryHeap) : backend_{backend} {}
+  /// The argument is ignored; it exists only for perfbench/layers.cpp's call.
+  explicit Scheduler(QueueBackend /*ignored*/ = QueueBackend::kBinaryHeap) {}
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
-
-  [[nodiscard]] QueueBackend backend() const { return backend_; }
 
   /// Current simulation time. Monotonically non-decreasing.
   [[nodiscard]] Time now() const { return now_; }
@@ -194,15 +182,10 @@ class Scheduler {
 
  private:
   /// Arena slot: owns the callback and the bookkeeping shared by one-shot
-  /// events (remaining == 1) and trains (remaining > 1). `at`/`seq` mirror
-  /// the currently-queued EventEntry so the calendar backend can remove it
-  /// eagerly on cancel without any auxiliary map.
+  /// events (remaining == 1) and trains (remaining > 1).
   struct Slot {
     Callback cb;
-    Time at;
-    Time birth;
     Time stride;
-    std::uint64_t seq{0};
     std::uint64_t remaining{0};
     std::uint32_t gen{1};
     std::uint32_t origin{0};
@@ -210,9 +193,8 @@ class Scheduler {
   };
   struct Later {
     bool operator()(const EventEntry& a, const EventEntry& b) const {
-      // Shared with the calendar backend; see event_entry_before for the
-      // tie-break rationale (hashed tagged streams, legacy sequence for
-      // the untagged stream).
+      // See event_entry_before for the tie-break rationale (hashed tagged
+      // streams, legacy sequence for the untagged stream).
       return event_entry_before(b, a);
     }
   };
@@ -223,8 +205,6 @@ class Scheduler {
                         std::uint32_t origin, std::uint64_t rank);
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
-  void push_entry(const EventEntry& entry);
-
   /// Pop dead (cancelled) entries off the top of the heap. Called at cancel
   /// and pop boundaries so the invariant "a non-empty heap has a live top"
   /// holds whenever control is outside the scheduler — which is what lets
@@ -234,8 +214,6 @@ class Scheduler {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::priority_queue<EventEntry, std::vector<EventEntry>, Later> heap_;
-  CalendarQueue calendar_;
-  QueueBackend backend_{QueueBackend::kBinaryHeap};
   std::size_t live_{0};
   Time now_{Time::zero()};
   /// Per-origin insertion-rank counters; element 0 (always present) is the

@@ -17,9 +17,7 @@ namespace rss::sim {
 /// this).
 class Simulation {
  public:
-  explicit Simulation(std::uint64_t seed = 1,
-                      QueueBackend backend = QueueBackend::kBinaryHeap)
-      : scheduler_{backend}, rng_{seed} {}
+  explicit Simulation(std::uint64_t seed = 1) : rng_{seed} {}
 
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;

@@ -9,7 +9,7 @@
 // arena, free list, and queue storage are warm.
 //
 // Warm-up matters: the first iterations legitimately allocate (slot arena
-// growth, heap/bucket vector capacity). Steady state starts when a loop's
+// growth, heap vector capacity). Steady state starts when a loop's
 // working set stops growing — which the arena-flatness tests already pin —
 // so each test runs one warm-up round, then measures an identical round.
 
@@ -63,10 +63,8 @@ void rto_storm_round(Scheduler& s, std::uint64_t& fired, int iterations) {
   }
 }
 
-class AllocGuardBackends : public ::testing::TestWithParam<QueueBackend> {};
-
-TEST_P(AllocGuardBackends, SteadyStateScheduleCancelRescheduleIsAllocFree) {
-  Scheduler s{GetParam()};
+TEST(AllocGuard, SteadyStateScheduleCancelRescheduleIsAllocFree) {
+  Scheduler s;
   std::uint64_t fired = 0;
   rto_storm_round(s, fired, 2000);  // warm-up: arena + queue storage growth
   const std::size_t warm_slots = s.arena_slots();
@@ -79,8 +77,8 @@ TEST_P(AllocGuardBackends, SteadyStateScheduleCancelRescheduleIsAllocFree) {
   EXPECT_EQ(s.arena_slots(), warm_slots) << "slot arena grew in steady state";
 }
 
-TEST_P(AllocGuardBackends, SteadyStateTrainPopLoopIsAllocFree) {
-  Scheduler s{GetParam()};
+TEST(AllocGuard, SteadyStateTrainPopLoopIsAllocFree) {
+  Scheduler s;
   std::uint64_t fired = 0;
   auto run_train = [&] {
     s.schedule_train(s.now() + 1_us, 12_us, 3000, [&fired] { ++fired; });
@@ -97,8 +95,8 @@ TEST_P(AllocGuardBackends, SteadyStateTrainPopLoopIsAllocFree) {
       << scope.bytes() << " bytes)";
 }
 
-TEST_P(AllocGuardBackends, CancelInsideTrainStaysAllocFree) {
-  Scheduler s{GetParam()};
+TEST(AllocGuard, CancelInsideTrainStaysAllocFree) {
+  Scheduler s;
   auto round = [&] {
     std::uint64_t fired = 0;
     EventId id{};
@@ -108,12 +106,7 @@ TEST_P(AllocGuardBackends, CancelInsideTrainStaysAllocFree) {
     s.run();
     EXPECT_EQ(fired, 100u);
   };
-  // One round spans ~500us but the calendar backend's year is 16 days x
-  // 100us = 1.6ms, so a single round leaves most bucket vectors at zero
-  // capacity and the next round would allocate on first insert into each
-  // cold bucket. Warm until a full year has elapsed so every bucket owns
-  // storage before measuring.
-  while (s.now() < 2_ms) round();
+  round();  // warm-up: arena slot + heap storage
 
   const alloc_guard::AllocScope scope;
   round();
@@ -169,13 +162,6 @@ TEST(AllocGuard, SteadyStatePartitionWindowLoopIsAllocFree) {
       << "steady-state window loop allocated " << scope.allocations() << " times ("
       << scope.bytes() << " bytes)";
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, AllocGuardBackends,
-                         ::testing::Values(QueueBackend::kBinaryHeap,
-                                           QueueBackend::kCalendarQueue),
-                         [](const auto& info) {
-                           return info.param == QueueBackend::kBinaryHeap ? "heap" : "calendar";
-                         });
 
 }  // namespace
 }  // namespace rss::sim

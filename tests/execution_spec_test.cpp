@@ -1,7 +1,7 @@
 // The "execution" spec block and the ExecutionPolicy surface: typed
-// validation of every field, byte-stable round trips (including the
-// deprecated top-level "backend" alias, which must keep old specs
-// byte-identical), and the policy resolution rules the builder applies.
+// validation of every field, byte-stable round trips, the typed rejection
+// of the removed "backend" key, and the policy resolution rules the
+// builder applies.
 
 #include "scenario/spec_io.hpp"
 
@@ -9,7 +9,9 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 
+#include "scenario/exec_flags.hpp"
 #include "scenario/execution.hpp"
 #include "scenario/spec_cli.hpp"
 #include "scenario/sweep.hpp"
@@ -36,15 +38,11 @@ constexpr const char* kMinimalTopology = R"({
 
 TEST(ExecutionSpec, ParsesEveryField) {
   const ScenarioSpec s = parse_scenario_spec(with_execution(
-      R"({"backend": "calendar_queue", "partitions": 4, "strategy": "block",
-          "threads": 8, "deterministic_merge": false})"));
+      R"({"partitions": 4, "strategy": "block", "threads": 8})"));
   const ExecutionPolicy& p = s.topology.execution;
-  ASSERT_TRUE(p.backend.has_value());
-  EXPECT_EQ(*p.backend, sim::QueueBackend::kCalendarQueue);
   EXPECT_EQ(p.partitions, 4u);
   EXPECT_EQ(p.strategy, PartitionStrategy::kBlock);
   EXPECT_EQ(p.threads, 8u);
-  EXPECT_FALSE(p.deterministic_merge);
 }
 
 TEST(ExecutionSpec, DefaultsWhenAbsent) {
@@ -83,13 +81,37 @@ TEST(ExecutionSpec, BadStrategyIsTypedError) {
   }
 }
 
-TEST(ExecutionSpec, BadBackendIsTypedError) {
-  try {
-    (void)parse_scenario_spec(with_execution(R"({"backend": "skiplist"})"));
-    FAIL() << "expected SpecError";
-  } catch (const SpecError& e) {
-    EXPECT_EQ(e.code(), SpecError::Code::kBadValue);
-    EXPECT_EQ(e.field(), "execution.backend");
+// The binary heap is the only event queue, so "backend" is rejected
+// wherever a spec used to accept it, with a message that says why.
+TEST(ExecutionSpec, RemovedBackendKeyIsTypedError) {
+  std::string top_level = kMinimalTopology;
+  top_level.insert(top_level.rfind('}'), ",\n  \"backend\": \"binary_heap\"\n");
+  const std::string in_execution = with_execution(R"({"backend": "binary_heap"})");
+  for (const auto& [doc, field] : {std::pair{top_level, "backend"},
+                                   std::pair{in_execution, "execution.backend"}}) {
+    try {
+      (void)parse_scenario_spec(doc);
+      FAIL() << "expected SpecError for " << field;
+    } catch (const SpecError& e) {
+      EXPECT_EQ(e.code(), SpecError::Code::kUnknownField);
+      EXPECT_EQ(e.field(), field);
+      EXPECT_NE(std::string{e.what()}.find("binary heap is the only event queue"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ExecutionSpec, RemovedCliFlagsAreNotExecutionFlags) {
+  for (const char* flag : {"--backend", "--threads"}) {
+    char arg0[] = "rss_scenario";
+    std::string name = flag;
+    char value[] = "1";
+    char* argv[] = {arg0, name.data(), value};
+    int i = 1;
+    ExecFlags exec;
+    EXPECT_EQ(exec.parse(3, argv, i), ExecFlags::Parse::kNotMine) << flag;
+    EXPECT_EQ(i, 1) << flag;
   }
 }
 
@@ -107,33 +129,6 @@ TEST(ExecutionSpec, DefaultExecutionIsElidedOnEmit) {
   const std::string emitted = serialize_scenario_spec(parse_scenario_spec(kMinimalTopology));
   EXPECT_EQ(emitted.find("\"execution\""), std::string::npos);
   EXPECT_EQ(serialize_scenario_spec(parse_scenario_spec(emitted)), emitted);
-}
-
-TEST(ExecutionSpec, DeprecatedBackendAliasStillRoundTrips) {
-  std::string doc = kMinimalTopology;
-  doc.insert(doc.rfind('}'), ",\n  \"backend\": \"calendar_queue\"\n");
-  const ScenarioSpec s = parse_scenario_spec(doc);
-  ASSERT_TRUE(s.topology.backend.has_value());
-  EXPECT_EQ(*s.topology.backend, sim::QueueBackend::kCalendarQueue);
-  EXPECT_TRUE(s.topology.execution.is_default());
-  const std::string emitted = serialize_scenario_spec(s);
-  EXPECT_NE(emitted.find("\"backend\": \"calendar_queue\""), std::string::npos);
-  EXPECT_EQ(emitted.find("\"execution\""), std::string::npos);
-  EXPECT_EQ(serialize_scenario_spec(parse_scenario_spec(emitted)), emitted);
-}
-
-TEST(ExecutionSpec, ExplicitExecutionBackendWinsOverAlias) {
-  std::string doc = kMinimalTopology;
-  doc.insert(doc.rfind('}'),
-             ",\n  \"backend\": \"binary_heap\","
-             "\n  \"execution\": {\"backend\": \"calendar_queue\"}\n");
-  const ScenarioSpec s = parse_scenario_spec(doc);
-  // Both fields survive the parse; precedence is the builder's job.
-  ASSERT_TRUE(s.topology.backend.has_value());
-  ASSERT_TRUE(s.topology.execution.backend.has_value());
-  ExecutionPolicy policy = s.topology.execution;
-  if (!policy.backend && s.topology.backend) policy.backend = s.topology.backend;
-  EXPECT_EQ(*policy.backend, sim::QueueBackend::kCalendarQueue);
 }
 
 TEST(ExecutionSpec, PolicyResolveThreadsGuardsZeroHardware) {

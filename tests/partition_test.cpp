@@ -162,6 +162,35 @@ TEST(PartitionedEngine, PropagatesExceptionsFromWorkers) {
   EXPECT_THROW(engine.run_until(10_ms), std::runtime_error);
 }
 
+// A lookahead wider than a cross link's latency lets a handoff land at or
+// before the destination's clock. The engine must refuse it in every build
+// type, including the one that is due exactly at now(), which the
+// destination scheduler alone would accept and run out of order.
+TEST(PartitionedEngine, LookaheadBeyondCrossLinkDelayThrows) {
+  for (const sim::Time delay : {5_ms, 10_ms - sim::Time::nanoseconds(1)}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      sim::Simulation a{1};
+      sim::Simulation b{2};
+      sim::PartitionedEngine engine{{&a, &b}, {.lookahead = 10_ms, .threads = threads}};
+      sim::HandoffChannel& a_to_b = engine.add_channel(0, 1);
+      Recorder recorder{&b, {}};
+      a.at(0_ms, [&] {
+        const std::uint64_t tag = 0;
+        a_to_b.stage(a.now() + delay, a.now(), 0, a.scheduler().draw_rank(0), &recorder,
+                     &Recorder::deliver, tag);
+      });
+      try {
+        engine.run_until(50_ms);
+        ADD_FAILURE() << "expected a causality error (delay " << delay << ", threads "
+                      << threads << ")";
+      } catch (const std::logic_error& e) {
+        EXPECT_NE(std::string{e.what()}.find("lookahead 10ms"), std::string::npos) << e.what();
+      }
+      EXPECT_TRUE(recorder.delivered.empty());
+    }
+  }
+}
+
 /// TSan surface: a dense, multi-window handoff storm across 4 partitions in
 /// a ring, with every partition staging into two channels per window.
 TEST(PartitionedEngine, HandoffStressRing) {

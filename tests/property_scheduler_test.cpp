@@ -1,6 +1,5 @@
 // Property suite for the event core: randomized schedules must execute in
-// exact (time, insertion) order under both the binary-heap Scheduler and
-// the CalendarQueue, and the two structures must agree item for item.
+// exact (time, insertion) order, and random cancellations must never fire.
 // Also covers the allocation-free machinery underneath: slot-arena reuse
 // under reschedule storms, and schedule_train equivalence with chained
 // one-shot scheduling.
@@ -10,7 +9,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "sim/calendar_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 
@@ -79,37 +77,35 @@ TEST_P(RandomScheduleTest, RandomCancellationsNeverFireAndOthersAlwaysDo) {
 }
 
 // The per-ACK RTO pattern: cancel + immediately reschedule, thousands of
-// times, against both backends. The slot arena must recycle — its size is
-// bounded by *simultaneously pending* events, not by scheduling traffic.
+// times. The slot arena must recycle — its size is bounded by
+// *simultaneously pending* events, not by scheduling traffic.
 TEST_P(RandomScheduleTest, RescheduleStormRecyclesArenaSlots) {
   const auto plan = GetParam();
-  for (const auto backend : {QueueBackend::kBinaryHeap, QueueBackend::kCalendarQueue}) {
-    Rng rng{plan.seed ^ 0x7777};
-    Scheduler s{backend};
-    std::uint64_t fired = 0;
-    EventId timer{};
-    std::size_t peak_pending = 0;
-    for (std::size_t i = 0; i < plan.events; ++i) {
-      // False when a run_until below already fired the timer — both paths
-      // (cancel-then-rearm, fire-then-rearm) occur in this storm.
-      if (timer.valid()) (void)s.cancel(timer);
-      const Time at = s.now() + Time::nanoseconds(static_cast<std::int64_t>(
-                                    rng.next_in(1, 1'000'000)));
-      timer = s.schedule_at(at, [&fired] { ++fired; });
-      // A little background traffic so the arena holds more than one slot.
-      if (rng.next_bool(0.1)) {
-        s.schedule_at(at, [&fired] { ++fired; });
-      }
-      peak_pending = std::max(peak_pending, s.pending());
-      if (rng.next_bool(0.3)) s.run_until(at);
+  Rng rng{plan.seed ^ 0x7777};
+  Scheduler s;
+  std::uint64_t fired = 0;
+  EventId timer{};
+  std::size_t peak_pending = 0;
+  for (std::size_t i = 0; i < plan.events; ++i) {
+    // False when a run_until below already fired the timer — both paths
+    // (cancel-then-rearm, fire-then-rearm) occur in this storm.
+    if (timer.valid()) (void)s.cancel(timer);
+    const Time at = s.now() + Time::nanoseconds(static_cast<std::int64_t>(
+                                  rng.next_in(1, 1'000'000)));
+    timer = s.schedule_at(at, [&fired] { ++fired; });
+    // A little background traffic so the arena holds more than one slot.
+    if (rng.next_bool(0.1)) {
+      s.schedule_at(at, [&fired] { ++fired; });
     }
-    s.run();
-    // The storm scheduled ~1.1 * events callbacks; the arena must stay at
-    // the high-water mark of pending events, orders of magnitude smaller.
-    EXPECT_LE(s.arena_slots(), peak_pending);
-    EXPECT_EQ(s.pending(), 0u);
-    EXPECT_EQ(s.events_executed(), fired);
+    peak_pending = std::max(peak_pending, s.pending());
+    if (rng.next_bool(0.3)) s.run_until(at);
   }
+  s.run();
+  // The storm scheduled ~1.1 * events callbacks; the arena must stay at
+  // the high-water mark of pending events, orders of magnitude smaller.
+  EXPECT_LE(s.arena_slots(), peak_pending);
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_EQ(s.events_executed(), fired);
 }
 
 // schedule_train must be observationally identical to the chained
@@ -163,70 +159,6 @@ TEST_P(RandomScheduleTest, TrainMatchesChainedScheduling) {
   }
 }
 
-TEST_P(RandomScheduleTest, CalendarQueueAgreesWithHeapOrder) {
-  const auto plan = GetParam();
-  Rng rng{plan.seed ^ 0x5555};
-  CalendarQueue cal;
-
-  std::vector<EventEntry> entries;
-  for (std::size_t i = 0; i < plan.events; ++i) {
-    const Time at = Time::nanoseconds(static_cast<std::int64_t>(
-        rng.next_in(0, static_cast<std::uint64_t>(plan.horizon_ns))));
-    const EventEntry entry{at, Time::zero(), i, static_cast<std::uint32_t>(i), 1};
-    entries.push_back(entry);
-    cal.push(entry);
-  }
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const EventEntry& a, const EventEntry& b) {
-                     if (a.at != b.at) return a.at < b.at;
-                     return a.seq < b.seq;
-                   });
-
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    ASSERT_FALSE(cal.empty());
-    const auto entry = cal.pop_min();
-    EXPECT_EQ(entry.at, entries[i].at) << "position " << i;
-    EXPECT_EQ(entry.seq, entries[i].seq) << "position " << i;
-    EXPECT_EQ(entry.slot, entries[i].slot) << "position " << i;
-  }
-  EXPECT_TRUE(cal.empty());
-}
-
-TEST_P(RandomScheduleTest, CalendarQueueInterleavedPushPop) {
-  // Pops interleaved with pushes (monotone non-decreasing push times after
-  // pops, as a simulator produces) must still come out sorted.
-  const auto plan = GetParam();
-  Rng rng{plan.seed ^ 0x9999};
-  CalendarQueue cal;
-  Time now = Time::zero();
-  std::uint64_t seq = 0;
-  Time last_popped = Time::zero();
-  std::size_t pops = 0;
-
-  for (std::size_t round = 0; round < plan.events; ++round) {
-    const auto burst = rng.next_in(1, 4);
-    for (std::uint64_t b = 0; b < burst; ++b) {
-      const Time at = now + Time::nanoseconds(static_cast<std::int64_t>(
-                                rng.next_in(0, 1'000'000)));
-      cal.push(EventEntry{at, Time::zero(), seq++, 0, 1});
-    }
-    if (!cal.empty() && rng.next_bool(0.7)) {
-      const auto entry = cal.pop_min();
-      EXPECT_GE(entry.at, last_popped);
-      last_popped = entry.at;
-      now = entry.at;
-      ++pops;
-    }
-  }
-  while (!cal.empty()) {
-    const auto entry = cal.pop_min();
-    EXPECT_GE(entry.at, last_popped);
-    last_popped = entry.at;
-    ++pops;
-  }
-  EXPECT_EQ(pops, seq);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Plans, RandomScheduleTest,
     ::testing::Values(SchedulePlan{1, 100, 1'000},          // dense ties
@@ -238,36 +170,6 @@ INSTANTIATE_TEST_SUITE_P(
       return "seed" + std::to_string(info.param.seed) + "_n" +
              std::to_string(info.param.events);
     });
-
-TEST(CalendarQueueTest, ResizesUnderLoad) {
-  CalendarQueue cal{16, Time::microseconds(1)};
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    cal.push(EventEntry{Time::nanoseconds(static_cast<std::int64_t>(i * 137 % 100000)),
-                        Time::zero(), i, static_cast<std::uint32_t>(i), 1});
-  }
-  EXPECT_GT(cal.resizes(), 0u);
-  EXPECT_GT(cal.day_count(), 16u);
-  Time last = Time::zero();
-  while (!cal.empty()) {
-    const auto entry = cal.pop_min();
-    EXPECT_GE(entry.at, last);
-    last = entry.at;
-  }
-}
-
-TEST(CalendarQueueTest, RejectsPastPushAndEmptyPop) {
-  CalendarQueue cal;
-  cal.push(EventEntry{Time::milliseconds(5), Time::zero(), 1, 0, 1});
-  (void)cal.pop_min();
-  EXPECT_THROW(cal.push(EventEntry{Time::milliseconds(1), Time::zero(), 2, 0, 1}),
-               std::invalid_argument);
-  EXPECT_THROW((void)cal.pop_min(), std::logic_error);
-}
-
-TEST(CalendarQueueTest, ValidatesConstruction) {
-  EXPECT_THROW(CalendarQueue(0, Time::microseconds(1)), std::invalid_argument);
-  EXPECT_THROW(CalendarQueue(16, Time::zero()), std::invalid_argument);
-}
 
 }  // namespace
 }  // namespace rss::sim

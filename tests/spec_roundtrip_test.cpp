@@ -58,7 +58,7 @@ TEST_P(PresetRoundTripTest, ReparsedSpecPreservesTheTopology) {
 
   EXPECT_EQ(reparsed.topology.nodes, original.topology.nodes);
   EXPECT_EQ(reparsed.topology.seed, original.topology.seed);
-  EXPECT_EQ(reparsed.topology.backend, original.topology.backend);
+  EXPECT_EQ(reparsed.topology.execution, original.topology.execution);
   ASSERT_EQ(reparsed.topology.links.size(), original.topology.links.size());
   for (std::size_t i = 0; i < original.topology.links.size(); ++i) {
     const LinkSpec& a = original.topology.links[i];

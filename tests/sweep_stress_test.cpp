@@ -31,8 +31,7 @@ using rss::scenario::parallel_sweep;
 /// an independent scheduler — the only sanctioned threading model).
 std::uint64_t run_mini_simulation(std::size_t point) {
   using namespace rss::sim::literals;
-  rss::sim::Scheduler s{point % 2 == 0 ? rss::sim::QueueBackend::kBinaryHeap
-                                       : rss::sim::QueueBackend::kCalendarQueue};
+  rss::sim::Scheduler s;
   std::uint64_t fired = 0;
   s.schedule_train(1_us, 3_us, 50 + point % 7, [&fired] { ++fired; });
   for (int i = 0; i < 20; ++i) {
