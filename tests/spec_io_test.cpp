@@ -306,6 +306,147 @@ TEST(ScenarioSpecTest, FlowOptionsRoundTripThroughTheSchema) {
   EXPECT_EQ(serialize_scenario_spec(parse_scenario_spec(once)), once);
 }
 
+// Every spec field at a non-default value, in canonical form: a packet flow,
+// a fluid flow, a RED device, a CoDel device with ecn_threshold, execution,
+// run, and a sweep (zip, so `mode` is non-default too). Only the removed
+// `backend` key is absent, since it is always an error. serialize(parse(x))
+// must reproduce the text byte for byte, so every field has to be parsed,
+// emitted, and ordered exactly as the canonical form has it.
+constexpr const char* kEveryFieldSpec = R"({
+  "name": "every-field",
+  "seed": 7,
+  "execution": {
+    "partitions": 2,
+    "strategy": "block",
+    "threads": 3
+  },
+  "nodes": ["h1", "r1", "h2"],
+  "links": [
+    {
+      "a": "h1",
+      "b": "r1",
+      "delay": "5ms",
+      "a_dev": {
+        "rate": "100mbps",
+        "ifq_packets": 50,
+        "qdisc": "red",
+        "red": {
+          "min_threshold": 5,
+          "max_threshold": 20,
+          "max_drop_probability": 0.2,
+          "queue_weight": 0.01
+        },
+        "name": "h1-nic"
+      },
+      "b_dev": {
+        "rate": "10mbps"
+      }
+    },
+    {
+      "a": "r1",
+      "b": "h2",
+      "delay": "20ms",
+      "a_dev": {
+        "qdisc": "codel",
+        "codel": {
+          "target": "10ms",
+          "interval": "200ms"
+        },
+        "ecn_threshold": 30
+      }
+    }
+  ],
+  "flows": [
+    {
+      "src": "h1",
+      "dst": "h2",
+      "id": 3,
+      "start": "250ms",
+      "cc": "rss",
+      "ecn": true,
+      "sender": {
+        "mss": 1000,
+        "initial_seq": 11,
+        "rwnd_limit_bytes": 65536,
+        "stall_retry_delay": "20ms",
+        "enable_sack": true,
+        "cwnd_validation": true,
+        "trace_cwnd": true,
+        "trace_stalls": true,
+        "rtt": {
+          "initial_rto": "3s",
+          "min_rto": "300ms",
+          "max_rto": "120s",
+          "alpha": 0.25,
+          "beta": 0.5,
+          "k": 2
+        }
+      },
+      "receiver": {
+        "initial_seq": 11,
+        "advertised_window": 1048576,
+        "ack_every": 1,
+        "delayed_ack_timeout": "40ms",
+        "enable_sack": true,
+        "quickack_segments": 8
+      },
+      "web100": {
+        "poll": "10ms"
+      }
+    },
+    {
+      "src": "h2",
+      "dst": "h1",
+      "id": 4,
+      "start": "1s",
+      "model": "fluid",
+      "fluid": {
+        "initial_rate": "5mbps",
+        "peak_rate": "50mbps",
+        "stride": "2ms",
+        "packet_bytes": 1000,
+        "rtt": "80ms",
+        "decrease": 0.7
+      }
+    }
+  ],
+  "run": {
+    "duration": "10s",
+    "measure_start": "2s"
+  },
+  "sweep": {
+    "mode": "zip",
+    "axes": [
+      {
+        "field": "links[0].a_dev.ifq_packets",
+        "values": [50, 100]
+      },
+      {
+        "field": "flows[0].cc",
+        "values": ["rss", "reno"]
+      }
+    ]
+  }
+}
+)";
+
+TEST(ScenarioSpecTest, EveryFieldRoundTripsAtANonDefaultValue) {
+  const ScenarioSpec s = parse_scenario_spec(kEveryFieldSpec);
+  EXPECT_EQ(serialize_scenario_spec(s), kEveryFieldSpec);
+  // Spot checks that the values landed in their members, not just in text.
+  EXPECT_EQ(s.topology.execution.partitions, 2u);
+  EXPECT_EQ(s.topology.links[0].a_dev.qdisc, QueueDiscipline::kRed);
+  EXPECT_DOUBLE_EQ(s.topology.links[0].a_dev.red.queue_weight, 0.01);
+  EXPECT_EQ(s.topology.links[1].a_dev.codel.interval, 200_ms);
+  EXPECT_EQ(s.topology.flows[0].sender.rtt.k, 2);
+  EXPECT_EQ(s.topology.flows[0].receiver.delayed_ack_timeout, 40_ms);
+  EXPECT_EQ(s.topology.flows[1].model, TrafficModel::kFluid);
+  EXPECT_DOUBLE_EQ(s.topology.flows[1].fluid.decrease, 0.7);
+  EXPECT_EQ(s.flow_cc, (std::vector<std::string>{"rss", "reno"}));
+  EXPECT_EQ(s.run.measure_start, 2_s);
+  EXPECT_EQ(s.sweep.mode, SweepSpec::Mode::kZip);
+}
+
 // --- sweep ----------------------------------------------------------------
 
 constexpr const char* kSweepBase = R"({
