@@ -25,9 +25,10 @@ import sys
 
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
-# Fields read by the spec parser: r.opt("x") / r.req("x") on an ObjectReader,
-# plus the reader variables the flow/web100/sweep parsers use.
-FIELD_RE = re.compile(r"\b(?:r|w|rr|a)\.(?:opt|req)\(\"([a-z_0-9]+)\"\)")
+# Spec fields: the entries of spec_io.cpp's per-struct field lists, written
+# either as field<S, &S::member>("name") or, for a hand-written entry,
+# Field<S>{"name", ...}. The same lists drive parsing and emission.
+FIELD_RE = re.compile(r"\b(?:field<[^>]*>\(|Field<S>\{)\"([a-z_0-9]+)\"")
 
 # Parser-internal names that are not spec-file fields (or are documented
 # under a different, canonical name). Keep this list short and justified.
@@ -82,7 +83,7 @@ def check_spec_coverage(root: pathlib.Path) -> list[str]:
     if len(parsed) < 30:
         errors.append(
             f"spec-coverage: only {len(parsed)} fields scraped from spec_io.cpp — "
-            "the FIELD_RE pattern has likely fallen out of sync with the parser")
+            "the FIELD_RE pattern has likely fallen out of sync with the field lists")
     # Strip fenced blocks first: they would derail the single-backtick
     # pairing below, and example snippets are not documentation of record.
     doc_text = re.sub(r"```.*?```", "", doc.read_text(), flags=re.DOTALL)

@@ -7,8 +7,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 CLANG_FORMAT="${CLANG_FORMAT:-clang-format}"
-mapfile -t files < <(git ls-files 'src/*.cpp' 'src/*.hpp' 'tests/*.cpp' \
-  'bench/*.cpp' 'examples/*.cpp')
+mapfile -t files < <(git ls-files 'src/*.cpp' 'src/*.hpp' 'tests/*.cpp' 'examples/*.cpp')
 
 if [[ "${1:-}" == "--check" ]]; then
   "$CLANG_FORMAT" --dry-run --Werror "${files[@]}"

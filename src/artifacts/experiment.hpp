@@ -29,7 +29,7 @@ struct Tolerances {
 };
 
 /// What one experiment run produces: the canonical table (the artifact that
-/// is goldened and diffed) plus the bench's human-facing shape verdict.
+/// is goldened and diffed) plus its human-facing shape verdict.
 struct ExperimentResult {
   metrics::Table table;
   bool reproduced{true};

@@ -15,8 +15,8 @@ namespace rss::artifacts {
 /// dropped by the linker.
 class ExperimentRegistry {
  public:
-  /// The process-wide registry used by the bench mains and the
-  /// rss_artifacts driver. Tests may build their own instances.
+  /// The process-wide registry used by the rss_artifacts driver. Tests may
+  /// build their own instances.
   static ExperimentRegistry& instance();
 
   /// Throws std::invalid_argument on an empty or duplicate name.

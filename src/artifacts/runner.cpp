@@ -125,8 +125,8 @@ int cmd_check(const ExperimentRegistry& registry, const std::vector<std::string>
       ++failures;
     } else if (!r.reproduced) {
       // Drift inside the tolerances can still flip a strict shape
-      // predicate recomputed from the fresh numbers; the bench binaries
-      // would then exit 1 for every user, so the gate must fail too.
+      // predicate recomputed from the fresh numbers; `--run` would then
+      // exit 1 for every user, so the gate must fail too.
       std::printf("FAIL (tables match but shape verdict regressed: %s)\n",
                   r.verdict.c_str());
       ++failures;
@@ -147,26 +147,6 @@ int cmd_check(const ExperimentRegistry& registry, const std::vector<std::string>
 }
 
 }  // namespace
-
-int run_experiment_main(const std::string& name) {
-  try {
-    auto& registry = ExperimentRegistry::instance();
-    register_builtin_experiments(registry);
-    const Experiment* e = registry.find(name);
-    if (!e) {
-      std::fprintf(stderr, "unknown experiment: %s\n", name.c_str());
-      return 2;
-    }
-    std::printf("%s: %s\n\n", e->name.c_str(), e->title.c_str());
-    const ExperimentResult r = e->run();
-    r.table.write_csv(std::cout);
-    std::printf("\n%s\n", r.verdict.c_str());
-    return r.reproduced ? 0 : 1;
-  } catch (const std::exception& ex) {
-    std::fprintf(stderr, "error: %s\n", ex.what());
-    return 2;
-  }
-}
 
 int artifacts_main(int argc, char** argv, std::string default_goldens_dir) {
   enum class Command { kNone, kList, kRun, kWriteGoldens, kCheck };

@@ -1,5 +1,6 @@
 #include "scenario/spec_io.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cinttypes>
@@ -7,9 +8,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <set>
+#include <span>
 #include <sstream>
-#include <unordered_set>
+#include <type_traits>
+#include <utility>
 
 #include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
@@ -29,13 +33,76 @@ namespace {
   throw SpecError(code, field, line, what);
 }
 
-[[nodiscard]] std::string sub(const std::string& base, std::string_view key) {
-  if (base.empty()) return std::string{key};
-  return base + "." + std::string{key};
+/// A value's place in the document, as a chain of stack frames (one per
+/// object key or array index), so the dotted path "links[2].a_dev.rate" is
+/// only built when an error reports it.
+struct Where {
+  static constexpr std::size_t kKey = static_cast<std::size_t>(-1);
+  const Where* parent{nullptr};
+  std::string_view key{};     ///< object key; a whole path when parent is null
+  std::size_t index{kKey};    ///< array index, when not kKey
+
+  [[nodiscard]] Where operator/(std::string_view k) const { return {this, k}; }
+  [[nodiscard]] Where operator[](std::size_t i) const { return {this, {}, i}; }
+
+  [[nodiscard]] std::string path() const {
+    std::string p = parent ? parent->path() : std::string{};
+    if (index != kKey) return p + "[" + std::to_string(index) + "]";
+    if (!p.empty() && !key.empty()) p += '.';
+    return p += key;
+  }
+};
+
+[[noreturn]] void fail(SpecError::Code code, const Where& at, int line, const std::string& msg) {
+  fail(code, at.path(), line, msg);
 }
 
-[[nodiscard]] std::string idx(const std::string& base, std::size_t i) {
-  return base + "[" + std::to_string(i) + "]";
+// --- checked scalar readers -----------------------------------------------
+
+double double_of(const JsonValue& v, const Where& at) {
+  if (v.type != JsonValue::Type::kNumber)
+    fail(SpecError::Code::kWrongType, at, v.line, "expected a number");
+  return std::strtod(v.number.c_str(), nullptr);
+}
+
+constexpr std::int64_t kNoMin = std::numeric_limits<std::int64_t>::min();
+
+/// An integer of type T, no less than `min`. A fraction, an exponent, or a
+/// value outside that range is kBadValue, never a silent wrap.
+template <typename T>
+T int_of(const JsonValue& v, const Where& at, std::int64_t min = kNoMin) {
+  constexpr bool kSigned = std::is_signed_v<T>;
+  if (v.type != JsonValue::Type::kNumber)
+    fail(SpecError::Code::kWrongType, at, v.line, "expected a number");
+  if (v.number.find_first_of(kSigned ? ".eE" : ".eE-") != std::string::npos)
+    fail(SpecError::Code::kBadValue, at, v.line,
+         std::string{kSigned ? "expected an integer" : "expected a non-negative integer"} +
+             ", got '" + v.number + "'");
+  errno = 0;
+  char* end = nullptr;
+  const auto x = [&] {
+    if constexpr (kSigned) return std::strtoll(v.number.c_str(), &end, 10);
+    else return std::strtoull(v.number.c_str(), &end, 10);
+  }();
+  const std::int64_t lo = std::max<std::int64_t>(min, std::numeric_limits<T>::min());
+  if (errno == ERANGE || end != v.number.c_str() + v.number.size() || std::cmp_less(x, lo) ||
+      !std::in_range<T>(x))
+    fail(SpecError::Code::kBadValue, at, v.line,
+         "integer out of range: '" + v.number + "' (expected " + std::to_string(lo) + " to " +
+             std::to_string(std::numeric_limits<T>::max()) + ")");
+  return static_cast<T>(x);
+}
+
+bool bool_of(const JsonValue& v, const Where& at) {
+  if (v.type != JsonValue::Type::kBool)
+    fail(SpecError::Code::kWrongType, at, v.line, "expected true or false");
+  return v.boolean;
+}
+
+const std::string& string_of(const JsonValue& v, const Where& at) {
+  if (v.type != JsonValue::Type::kString)
+    fail(SpecError::Code::kWrongType, at, v.line, "expected a string");
+  return v.string;
 }
 
 }  // namespace
@@ -64,8 +131,11 @@ JsonValue JsonValue::make_number(std::int64_t v) {
 }
 
 JsonValue JsonValue::make_number(double v) {
+  // Ten digits keep hand-written values as written ("0.002", not
+  // "0.0020000000000000000416"); seventeen always read back exactly.
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.10g", v);
+  if (std::strtod(buf, nullptr) != v) std::snprintf(buf, sizeof buf, "%.17g", v);
   return make_number_literal(buf);
 }
 
@@ -118,51 +188,21 @@ void JsonValue::set(std::string_view key, JsonValue value) {
 }
 
 double JsonValue::as_double(const std::string& field) const {
-  if (type != Type::kNumber)
-    fail(SpecError::Code::kWrongType, field, line, "expected a number");
-  return std::strtod(number.c_str(), nullptr);
+  return double_of(*this, {nullptr, field});
 }
 
 std::uint64_t JsonValue::as_u64(const std::string& field) const {
-  if (type != Type::kNumber)
-    fail(SpecError::Code::kWrongType, field, line, "expected a number");
-  if (number.find_first_of(".eE-") != std::string::npos)
-    fail(SpecError::Code::kBadValue, field, line,
-         "expected a non-negative integer, got '" + number + "'");
-  errno = 0;
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(number.c_str(), &end, 10);
-  if (errno == ERANGE || end != number.c_str() + number.size())
-    fail(SpecError::Code::kBadValue, field, line,
-         "integer out of range: '" + number + "'");
-  return v;
+  return int_of<std::uint64_t>(*this, {nullptr, field});
 }
 
 std::int64_t JsonValue::as_i64(const std::string& field) const {
-  if (type != Type::kNumber)
-    fail(SpecError::Code::kWrongType, field, line, "expected a number");
-  if (number.find_first_of(".eE") != std::string::npos)
-    fail(SpecError::Code::kBadValue, field, line,
-         "expected an integer, got '" + number + "'");
-  errno = 0;
-  char* end = nullptr;
-  const std::int64_t v = std::strtoll(number.c_str(), &end, 10);
-  if (errno == ERANGE || end != number.c_str() + number.size())
-    fail(SpecError::Code::kBadValue, field, line,
-         "integer out of range: '" + number + "'");
-  return v;
+  return int_of<std::int64_t>(*this, {nullptr, field});
 }
 
-bool JsonValue::as_bool(const std::string& field) const {
-  if (type != Type::kBool)
-    fail(SpecError::Code::kWrongType, field, line, "expected true or false");
-  return boolean;
-}
+bool JsonValue::as_bool(const std::string& field) const { return bool_of(*this, {nullptr, field}); }
 
 const std::string& JsonValue::as_string(const std::string& field) const {
-  if (type != Type::kString)
-    fail(SpecError::Code::kWrongType, field, line, "expected a string");
-  return string;
+  return string_of(*this, {nullptr, field});
 }
 
 // --- JSON parser ----------------------------------------------------------
@@ -516,12 +556,23 @@ std::string json_serialize(const JsonValue& value) {
 
 namespace {
 
-/// Split "<number><suffix>" and return the suffix. The numeric part is
-/// held to a strict `digits[.digits]` grammar (no sign, whitespace, hex,
+/// One unit suffix and its size in the base unit (ns for times, bps for
+/// rates); the same table parses and formats.
+struct Unit {
+  std::string_view suffix;
+  std::int64_t scale;
+};
+constexpr Unit kTimeUnits[] = {{"ns", 1}, {"us", 1'000}, {"ms", 1'000'000}, {"s", 1'000'000'000}};
+constexpr Unit kRateUnits[] = {
+    {"bps", 1}, {"kbps", 1'000}, {"mbps", 1'000'000}, {"gbps", 1'000'000'000}};
+
+/// "<number><unit>" in base units, rounded to the nearest. The numeric part
+/// is held to a strict `digits[.digits]` grammar (no sign, whitespace, hex,
 /// or exponent — strtod alone would accept all of those), matching the
-/// strictness of the JSON layer. Throws kBadValue when it is missing or
-/// malformed.
-double split_unit(const std::string& text, const std::string& field, std::string& suffix) {
+/// strictness of the JSON layer. Throws kBadValue on a malformed number, an
+/// unknown unit, or a result outside [lo, hi].
+double in_base_units(const std::string& text, const Where& at, std::span<const Unit> units,
+                     const char* kind, double lo, double hi) {
   std::size_t i = 0;
   while (i < text.size() && std::isdigit(static_cast<unsigned char>(text[i]))) ++i;
   const std::size_t int_digits = i;
@@ -530,615 +581,592 @@ double split_unit(const std::string& text, const std::string& field, std::string
     const std::size_t frac_start = i;
     while (i < text.size() && std::isdigit(static_cast<unsigned char>(text[i]))) ++i;
     if (i == frac_start)
-      fail(SpecError::Code::kBadValue, field, 0, "malformed value '" + text + "'");
+      fail(SpecError::Code::kBadValue, at, 0, "malformed value '" + text + "'");
   }
-  if (int_digits == 0)
-    fail(SpecError::Code::kBadValue, field, 0, "malformed value '" + text + "'");
   const double v = std::strtod(text.substr(0, i).c_str(), nullptr);
-  if (!std::isfinite(v))
-    fail(SpecError::Code::kBadValue, field, 0, "malformed value '" + text + "'");
-  suffix.assign(text, i, std::string::npos);
-  return v;
+  if (int_digits == 0 || !std::isfinite(v))
+    fail(SpecError::Code::kBadValue, at, 0, "malformed value '" + text + "'");
+  for (const Unit& unit : units) {
+    if (unit.suffix != std::string_view{text}.substr(i)) continue;
+    const double x = v * static_cast<double>(unit.scale);
+    if (x < lo || x > hi)
+      fail(SpecError::Code::kBadValue, at, 0, kind + (" '" + text + "' out of range"));
+    return x + 0.5;
+  }
+  std::string expected;
+  for (std::size_t u = 0; u < units.size(); ++u)
+    expected += (u == 0 ? "" : u + 1 < units.size() ? ", " : ", or ") + std::string{units[u].suffix};
+  fail(SpecError::Code::kBadValue, at, 0,
+       "bad " + (kind + (" unit in '" + text + "' (expected " + expected + ")")));
+}
+
+/// `count` base units in the largest unit that divides it exactly.
+template <typename N>
+std::string with_unit(N count, std::span<const Unit> units) {
+  std::size_t u = units.size() - 1;
+  while (u > 0 && count % static_cast<N>(units[u].scale) != 0) --u;
+  return std::to_string(count / static_cast<N>(units[u].scale)) + std::string{units[u].suffix};
+}
+
+sim::Time time_of(const std::string& text, const Where& at) {
+  const double ns = in_base_units(text, at, kTimeUnits, "time", 0, 9.2e18);
+  return sim::Time::nanoseconds(static_cast<std::int64_t>(ns));
+}
+
+net::DataRate rate_of(const std::string& text, const Where& at) {
+  const double bps = in_base_units(text, at, kRateUnits, "rate", 1, 1.8e19);
+  return net::DataRate::bps(static_cast<std::uint64_t>(bps));
 }
 
 }  // namespace
 
 sim::Time parse_time(const std::string& text, const std::string& field) {
-  std::string suffix;
-  const double v = split_unit(text, field, suffix);
-  double ns_per_unit = 0;
-  if (suffix == "ns") ns_per_unit = 1;
-  else if (suffix == "us") ns_per_unit = 1e3;
-  else if (suffix == "ms") ns_per_unit = 1e6;
-  else if (suffix == "s") ns_per_unit = 1e9;
-  else
-    fail(SpecError::Code::kBadValue, field, 0,
-         "bad time unit in '" + text + "' (expected ns, us, ms, or s)");
-  const double ns = v * ns_per_unit;
-  if (ns > 9.2e18)
-    fail(SpecError::Code::kBadValue, field, 0, "time '" + text + "' out of range");
-  return sim::Time::nanoseconds(static_cast<std::int64_t>(ns + 0.5));
+  return time_of(text, {nullptr, field});
 }
 
-std::string format_time(sim::Time t) {
-  const std::int64_t ns = t.nanoseconds_count();
-  char buf[40];
-  if (ns == 0) {
-    return "0s";
-  } else if (ns % 1'000'000'000 == 0) {
-    std::snprintf(buf, sizeof buf, "%" PRId64 "s", ns / 1'000'000'000);
-  } else if (ns % 1'000'000 == 0) {
-    std::snprintf(buf, sizeof buf, "%" PRId64 "ms", ns / 1'000'000);
-  } else if (ns % 1'000 == 0) {
-    std::snprintf(buf, sizeof buf, "%" PRId64 "us", ns / 1'000);
-  } else {
-    std::snprintf(buf, sizeof buf, "%" PRId64 "ns", ns);
-  }
-  return buf;
-}
+std::string format_time(sim::Time t) { return with_unit(t.nanoseconds_count(), kTimeUnits); }
 
 net::DataRate parse_rate(const std::string& text, const std::string& field) {
-  std::string suffix;
-  const double v = split_unit(text, field, suffix);
-  double bps_per_unit = 0;
-  if (suffix == "bps") bps_per_unit = 1;
-  else if (suffix == "kbps") bps_per_unit = 1e3;
-  else if (suffix == "mbps") bps_per_unit = 1e6;
-  else if (suffix == "gbps") bps_per_unit = 1e9;
-  else
-    fail(SpecError::Code::kBadValue, field, 0,
-         "bad rate unit in '" + text + "' (expected bps, kbps, mbps, or gbps)");
-  const double bps = v * bps_per_unit;
-  if (bps < 1 || bps > 1.8e19)
-    fail(SpecError::Code::kBadValue, field, 0, "rate '" + text + "' out of range");
-  return net::DataRate::bps(static_cast<std::uint64_t>(bps + 0.5));
+  return rate_of(text, {nullptr, field});
 }
 
 std::string format_rate(net::DataRate rate) {
   const std::uint64_t bps = rate.bits_per_second();
-  char buf[40];
-  if (bps != 0 && bps % 1'000'000'000 == 0) {
-    std::snprintf(buf, sizeof buf, "%" PRIu64 "gbps", bps / 1'000'000'000);
-  } else if (bps != 0 && bps % 1'000'000 == 0) {
-    std::snprintf(buf, sizeof buf, "%" PRIu64 "mbps", bps / 1'000'000);
-  } else if (bps != 0 && bps % 1'000 == 0) {
-    std::snprintf(buf, sizeof buf, "%" PRIu64 "kbps", bps / 1'000);
-  } else {
-    std::snprintf(buf, sizeof buf, "%" PRIu64 "bps", bps);
-  }
-  return buf;
+  return bps == 0 ? "0bps" : with_unit(bps, kRateUnits);
 }
 
-// --- strict object reader -------------------------------------------------
+// --- the schema -----------------------------------------------------------
+//
+// Each spec struct has one Schema<S> specialization whose `fields` list is
+// its whole file format: JSON name, member, and emission order. The
+// member's type picks how a value is read and written: a unit-tagged time
+// or rate, a number, an integer within its type's range (and an optional
+// minimum), a bool, a string, an enum by name (Schema<E>::names), an
+// optional, an array, or a nested struct with its own schema.
+// read_object walks an object's keys once against the list; write_object
+// emits each field unless it equals the value-initialised struct's, so the
+// struct's member initialisers stay the only place a default is written.
+// Rules that are not per-field live beside the list, in Schema<S>::check
+// (after reading) and Schema<S>::trim (after writing).
 
 namespace {
 
-/// Wraps one JSON object for schema parsing: every key must be consumed by
-/// opt()/req() before finish(), so typos ("ifq_pakcets") fail loudly with
-/// kUnknownField instead of silently running the default.
-class ObjectReader {
- public:
-  ObjectReader(const JsonValue& v, std::string path) : v_{v}, path_{std::move(path)} {
-    if (v.type != JsonValue::Type::kObject)
-      fail(SpecError::Code::kWrongType, path_, v.line, "expected an object");
-  }
+template <typename S>
+struct Schema;
 
-  [[nodiscard]] const JsonValue* opt(std::string_view key) {
-    consumed_.insert(std::string{key});
-    return v_.find(key);
-  }
+enum class Presence : std::uint8_t {
+  kOptional,  ///< may be absent; emitted only when it differs from the default
+  kRequired,  ///< must be present; always emitted
+  kEmitted,   ///< may be absent; always emitted
+};
 
-  [[nodiscard]] const JsonValue& req(std::string_view key) {
-    const JsonValue* v = opt(key);
-    if (!v)
-      fail(SpecError::Code::kMissingField, path_of(key), v_.line,
-           "missing required field");
-    return *v;
-  }
+template <typename S>
+struct Field {
+  std::string_view name;
+  void (*read)(S& s, const JsonValue& v, const Where& at, std::int64_t min);
+  /// Appends the member to `out` as `name`, unless it equals `*def`'s
+  /// (`def` is null when the field is always emitted). Null: never emitted.
+  void (*write)(const S& s, const S* def, JsonValue& out, std::string_view name) = nullptr;
+  Presence presence = Presence::kOptional;
+  std::int64_t min = kNoMin;  ///< lower bound of an integer member
+};
 
-  [[nodiscard]] std::string path_of(std::string_view key) const { return sub(path_, key); }
-
-  void finish() const {
-    for (const auto& [key, value] : v_.object) {
-      if (!consumed_.count(key))
-        fail(SpecError::Code::kUnknownField, sub(path_, key), value.line,
-             "unknown field \"" + key + "\"");
-    }
-  }
-
- private:
-  const JsonValue& v_;
-  std::string path_;
-  std::set<std::string, std::less<>> consumed_;
+template <typename E>
+struct EnumName {
+  std::string_view name;
+  E value;
 };
 
 template <typename T>
-[[nodiscard]] T as_checked_unsigned(const JsonValue& v, const std::string& field) {
-  const std::uint64_t raw = v.as_u64(field);
-  if (raw > std::numeric_limits<T>::max())
-    fail(SpecError::Code::kBadValue, field, v.line, "value out of range");
-  return static_cast<T>(raw);
-}
+constexpr bool kIsVector = false;
+template <typename T>
+constexpr bool kIsVector<std::vector<T>> = true;
+template <typename T>
+constexpr bool kIsOptional = false;
+template <typename T>
+constexpr bool kIsOptional<std::optional<T>> = true;
 
-// --- schema: parse --------------------------------------------------------
+template <typename S>
+void read_object(S& s, const JsonValue& v, const Where& at);
+template <typename S>
+JsonValue write_object(const S& s);
 
-void parse_red_options(const JsonValue& v, const std::string& path, net::RedQueue::Options& red) {
-  ObjectReader r{v, path};
-  if (const auto* x = r.opt("min_threshold"))
-    red.min_threshold = x->as_double(r.path_of("min_threshold"));
-  if (const auto* x = r.opt("max_threshold"))
-    red.max_threshold = x->as_double(r.path_of("max_threshold"));
-  if (const auto* x = r.opt("max_drop_probability"))
-    red.max_drop_probability = x->as_double(r.path_of("max_drop_probability"));
-  if (const auto* x = r.opt("queue_weight"))
-    red.queue_weight = x->as_double(r.path_of("queue_weight"));
-  r.finish();
-}
-
-void parse_codel_options(const JsonValue& v, const std::string& path,
-                         net::CodelQueue::Options& codel) {
-  ObjectReader r{v, path};
-  if (const auto* x = r.opt("target"))
-    codel.target = parse_time(x->as_string(r.path_of("target")), r.path_of("target"));
-  if (const auto* x = r.opt("interval"))
-    codel.interval = parse_time(x->as_string(r.path_of("interval")), r.path_of("interval"));
-  r.finish();
-}
-
-DeviceSpec parse_device(const JsonValue& v, const std::string& path) {
-  ObjectReader r{v, path};
-  DeviceSpec d;
-  if (const auto* x = r.opt("rate"))
-    d.rate = parse_rate(x->as_string(r.path_of("rate")), r.path_of("rate"));
-  if (const auto* x = r.opt("ifq_packets"))
-    d.ifq_packets = as_checked_unsigned<std::size_t>(*x, r.path_of("ifq_packets"));
-  if (const auto* x = r.opt("qdisc")) {
-    const std::string& q = x->as_string(r.path_of("qdisc"));
-    if (q == "droptail") d.qdisc = QueueDiscipline::kDropTail;
-    else if (q == "red") d.qdisc = QueueDiscipline::kRed;
-    else if (q == "codel") d.qdisc = QueueDiscipline::kCodel;
-    else
-      fail(SpecError::Code::kBadValue, r.path_of("qdisc"), x->line,
-           "unknown qdisc '" + q + "' (expected \"droptail\", \"red\", or \"codel\")");
+template <typename E>
+E enum_of(const JsonValue& v, const Where& at) {
+  const std::string& text = string_of(v, at);
+  std::string expected;
+  for (const auto& [name, value] : Schema<E>::names) {
+    if (name == text) return value;
+    expected += (expected.empty() ? "\"" : ", \"") + std::string{name} + "\"";
   }
-  if (const auto* x = r.opt("red")) {
-    if (d.qdisc != QueueDiscipline::kRed)
-      fail(SpecError::Code::kBadValue, r.path_of("red"), x->line,
-           "red options require \"qdisc\": \"red\"");
-    parse_red_options(*x, r.path_of("red"), d.red);
+  fail(SpecError::Code::kBadValue, at, v.line,
+       "unknown " + std::string{at.key} + " '" + text + "' (expected one of " + expected + ")");
+}
+
+template <typename T>
+void read_value(T& out, const JsonValue& v, const Where& at, std::int64_t min) {
+  if constexpr (std::is_same_v<T, sim::Time>) {
+    out = time_of(string_of(v, at), at);
+  } else if constexpr (std::is_same_v<T, net::DataRate>) {
+    out = rate_of(string_of(v, at), at);
+  } else if constexpr (std::is_same_v<T, double>) {
+    out = double_of(v, at);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    out = bool_of(v, at);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    out = string_of(v, at);
+  } else if constexpr (std::is_same_v<T, JsonValue>) {
+    out = v;
+  } else if constexpr (std::is_integral_v<T>) {
+    out = int_of<T>(v, at, min);
+  } else if constexpr (std::is_enum_v<T>) {
+    out = enum_of<T>(v, at);
+  } else if constexpr (kIsOptional<T>) {
+    read_value(out.emplace(), v, at, min);
+  } else if constexpr (kIsVector<T>) {
+    if (!v.is_array()) fail(SpecError::Code::kWrongType, at, v.line, "expected an array");
+    out.reserve(v.array.size());
+    for (std::size_t i = 0; i < v.array.size(); ++i)
+      read_value(out.emplace_back(), v.array[i], at[i], min);
+  } else {
+    read_object(out, v, at);
   }
-  if (const auto* x = r.opt("codel")) {
-    if (d.qdisc != QueueDiscipline::kCodel)
-      fail(SpecError::Code::kBadValue, r.path_of("codel"), x->line,
-           "codel options require \"qdisc\": \"codel\"");
-    parse_codel_options(*x, r.path_of("codel"), d.codel);
+}
+
+template <typename T>
+JsonValue to_json(const T& x) {
+  if constexpr (std::is_same_v<T, sim::Time>) {
+    return JsonValue::make_string(format_time(x));
+  } else if constexpr (std::is_same_v<T, net::DataRate>) {
+    return JsonValue::make_string(format_rate(x));
+  } else if constexpr (std::is_same_v<T, double>) {
+    return JsonValue::make_number(x);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return JsonValue::make_bool(x);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return JsonValue::make_string(x);
+  } else if constexpr (std::is_same_v<T, JsonValue>) {
+    return x;
+  } else if constexpr (std::is_integral_v<T>) {
+    using Wide = std::conditional_t<std::is_signed_v<T>, std::int64_t, std::uint64_t>;
+    return JsonValue::make_number(static_cast<Wide>(x));
+  } else if constexpr (std::is_enum_v<T>) {
+    for (const auto& [name, value] : Schema<T>::names)
+      if (value == x) return JsonValue::make_string(std::string{name});
+    return JsonValue::make_null();
+  } else if constexpr (kIsOptional<T>) {
+    return x ? to_json(*x) : JsonValue::make_null();
+  } else if constexpr (kIsVector<T>) {
+    JsonValue array = JsonValue::make_array();
+    for (const auto& e : x) array.array.push_back(to_json(e));
+    return array;
+  } else {
+    return write_object(x);
   }
-  if (const auto* x = r.opt("ecn_threshold"))
-    d.ecn_threshold = as_checked_unsigned<std::size_t>(*x, r.path_of("ecn_threshold"));
-  if (const auto* x = r.opt("name")) d.name = x->as_string(r.path_of("name"));
-  r.finish();
-  return d;
 }
 
-LinkSpec parse_link(const JsonValue& v, const std::string& path) {
-  ObjectReader r{v, path};
-  LinkSpec l;
-  l.a = r.req("a").as_string(r.path_of("a"));
-  l.b = r.req("b").as_string(r.path_of("b"));
-  if (const auto* x = r.opt("delay"))
-    l.delay = parse_time(x->as_string(r.path_of("delay")), r.path_of("delay"));
-  if (const auto* x = r.opt("a_dev")) l.a_dev = parse_device(*x, r.path_of("a_dev"));
-  if (const auto* x = r.opt("b_dev")) l.b_dev = parse_device(*x, r.path_of("b_dev"));
-  r.finish();
-  return l;
+// `Path` is one member pointer, or a chain of them into nested members.
+template <typename S, auto... Path>
+void read_member(S& s, const JsonValue& v, const Where& at, std::int64_t min) {
+  read_value((s .* ... .* Path), v, at, min);
 }
 
-void parse_rtt_options(const JsonValue& v, const std::string& path,
-                       tcp::RttEstimator::Options& rtt) {
-  ObjectReader r{v, path};
-  if (const auto* x = r.opt("initial_rto"))
-    rtt.initial_rto = parse_time(x->as_string(r.path_of("initial_rto")), r.path_of("initial_rto"));
-  if (const auto* x = r.opt("min_rto"))
-    rtt.min_rto = parse_time(x->as_string(r.path_of("min_rto")), r.path_of("min_rto"));
-  if (const auto* x = r.opt("max_rto"))
-    rtt.max_rto = parse_time(x->as_string(r.path_of("max_rto")), r.path_of("max_rto"));
-  if (const auto* x = r.opt("alpha")) rtt.alpha = x->as_double(r.path_of("alpha"));
-  if (const auto* x = r.opt("beta")) rtt.beta = x->as_double(r.path_of("beta"));
-  if (const auto* x = r.opt("k"))
-    rtt.k = static_cast<int>(x->as_i64(r.path_of("k")));
-  r.finish();
-}
-
-void parse_sender_options(const JsonValue& v, const std::string& path,
-                          tcp::TcpSender::Options& o) {
-  ObjectReader r{v, path};
-  if (const auto* x = r.opt("mss"))
-    o.mss = as_checked_unsigned<std::uint32_t>(*x, r.path_of("mss"));
-  if (const auto* x = r.opt("initial_seq"))
-    o.initial_seq = as_checked_unsigned<std::uint32_t>(*x, r.path_of("initial_seq"));
-  if (const auto* x = r.opt("rwnd_limit_bytes"))
-    o.rwnd_limit_bytes = x->as_u64(r.path_of("rwnd_limit_bytes"));
-  if (const auto* x = r.opt("stall_retry_delay"))
-    o.stall_retry_delay =
-        parse_time(x->as_string(r.path_of("stall_retry_delay")), r.path_of("stall_retry_delay"));
-  if (const auto* x = r.opt("enable_sack")) o.enable_sack = x->as_bool(r.path_of("enable_sack"));
-  if (const auto* x = r.opt("cwnd_validation"))
-    o.cwnd_validation = x->as_bool(r.path_of("cwnd_validation"));
-  if (const auto* x = r.opt("trace_cwnd")) o.trace_cwnd = x->as_bool(r.path_of("trace_cwnd"));
-  if (const auto* x = r.opt("trace_stalls"))
-    o.trace_stalls = x->as_bool(r.path_of("trace_stalls"));
-  if (const auto* x = r.opt("rtt")) parse_rtt_options(*x, r.path_of("rtt"), o.rtt);
-  r.finish();
-}
-
-void parse_receiver_options(const JsonValue& v, const std::string& path,
-                            tcp::TcpReceiver::Options& o) {
-  ObjectReader r{v, path};
-  if (const auto* x = r.opt("initial_seq"))
-    o.initial_seq = as_checked_unsigned<std::uint32_t>(*x, r.path_of("initial_seq"));
-  if (const auto* x = r.opt("advertised_window"))
-    o.advertised_window = as_checked_unsigned<std::uint32_t>(*x, r.path_of("advertised_window"));
-  if (const auto* x = r.opt("ack_every"))
-    o.ack_every = static_cast<int>(x->as_i64(r.path_of("ack_every")));
-  if (const auto* x = r.opt("delayed_ack_timeout"))
-    o.delayed_ack_timeout = parse_time(x->as_string(r.path_of("delayed_ack_timeout")),
-                                       r.path_of("delayed_ack_timeout"));
-  if (const auto* x = r.opt("enable_sack")) o.enable_sack = x->as_bool(r.path_of("enable_sack"));
-  if (const auto* x = r.opt("quickack_segments"))
-    o.quickack_segments = x->as_u64(r.path_of("quickack_segments"));
-  r.finish();
-}
-
-void parse_fluid_options(const JsonValue& v, const std::string& path, net::FluidOptions& o) {
-  ObjectReader r{v, path};
-  if (const auto* x = r.opt("initial_rate"))
-    o.initial_rate = parse_rate(x->as_string(r.path_of("initial_rate")), r.path_of("initial_rate"));
-  if (const auto* x = r.opt("peak_rate"))
-    o.peak_rate = parse_rate(x->as_string(r.path_of("peak_rate")), r.path_of("peak_rate"));
-  if (const auto* x = r.opt("stride"))
-    o.stride = parse_time(x->as_string(r.path_of("stride")), r.path_of("stride"));
-  if (const auto* x = r.opt("packet_bytes"))
-    o.packet_bytes = as_checked_unsigned<std::uint32_t>(*x, r.path_of("packet_bytes"));
-  if (const auto* x = r.opt("rtt"))
-    o.rtt = parse_time(x->as_string(r.path_of("rtt")), r.path_of("rtt"));
-  if (const auto* x = r.opt("decrease")) {
-    const std::string field = r.path_of("decrease");
-    o.decrease = x->as_double(field);
-    if (o.decrease <= 0.0 || o.decrease >= 1.0)
-      fail(SpecError::Code::kBadValue, field, x->line, "decrease factor must be in (0, 1)");
+template <typename S, auto... Path>
+void write_member(const S& s, const S* def, JsonValue& out, std::string_view name) {
+  const auto& x = (s .* ... .* Path);
+  using T = std::remove_cvref_t<decltype(x)>;
+  if constexpr (kIsVector<T>) {
+    if (def && x.empty()) return;
+  } else if constexpr (requires { Schema<T>::fields; }) {
+    // A nested block is elided when none of its own fields is emitted.
+    JsonValue block = write_object(x);
+    if (!def || !block.object.empty()) out.object.emplace_back(name, std::move(block));
+    return;
+  } else {
+    if (def && x == (*def .* ... .* Path)) return;
   }
-  r.finish();
+  out.object.emplace_back(name, to_json(x));
 }
 
-FlowSpec parse_flow(const JsonValue& v, const std::string& path, std::string& cc) {
-  ObjectReader r{v, path};
-  FlowSpec f;
-  f.src = r.req("src").as_string(r.path_of("src"));
-  f.dst = r.req("dst").as_string(r.path_of("dst"));
-  if (const auto* x = r.opt("id"))
-    f.flow_id = as_checked_unsigned<std::uint32_t>(*x, r.path_of("id"));
-  if (const auto* x = r.opt("start"))
-    f.start = parse_time(x->as_string(r.path_of("start")), r.path_of("start"));
-  if (const auto* x = r.opt("model")) {
-    const std::string& m = x->as_string(r.path_of("model"));
-    if (m == "packet") f.model = TrafficModel::kPacket;
-    else if (m == "fluid") f.model = TrafficModel::kFluid;
-    else
-      fail(SpecError::Code::kBadValue, r.path_of("model"), x->line,
-           "unknown traffic model '" + m + "' (expected \"packet\" or \"fluid\")");
+template <typename S, auto... Path>
+constexpr Field<S> field(std::string_view name, Presence presence = Presence::kOptional,
+                         std::int64_t min = kNoMin) {
+  return {name, &read_member<S, Path...>, &write_member<S, Path...>, presence, min};
+}
+
+template <typename S>
+void read_object(S& s, const JsonValue& v, const Where& at) {
+  if (!v.is_object()) fail(SpecError::Code::kWrongType, at, v.line, "expected an object");
+  constexpr auto& fields = Schema<S>::fields;
+  constexpr std::size_t n = std::size(fields);
+  static_assert(n <= 32, "one presence bit per field");
+  std::uint32_t seen = 0;
+  for (const auto& [key, value] : v.object) {
+    std::size_t i = 0;
+    while (i < n && fields[i].name != key) ++i;
+    if (i == n)
+      fail(SpecError::Code::kUnknownField, at / key, value.line, "unknown field \"" + key + "\"");
+    seen |= std::uint32_t{1} << i;
+    fields[i].read(s, value, at / fields[i].name, fields[i].min);
   }
-  if (f.model == TrafficModel::kFluid) {
-    // A fluid aggregate has no TCP machinery: reject the packet-only
-    // fields outright instead of silently ignoring them.
-    for (const char* key : {"cc", "ecn", "sender", "receiver", "web100"}) {
-      if (const auto* x = r.opt(key))
-        fail(SpecError::Code::kBadValue, r.path_of(key), x->line,
-             std::string{"\""} + key + "\" is packet-only; a fluid flow takes its "
-             "dynamics from \"fluid\"");
-    }
-    if (const auto* x = r.opt("fluid")) parse_fluid_options(*x, r.path_of("fluid"), f.fluid);
-    cc = "reno";  // placeholder; never consulted for fluid flows
-    r.finish();
-    return f;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (fields[i].presence == Presence::kRequired && !(seen >> i & 1))
+      fail(SpecError::Code::kMissingField, at / fields[i].name, v.line, "missing required field");
   }
-  if (const auto* x = r.opt("fluid"))
-    fail(SpecError::Code::kBadValue, r.path_of("fluid"), x->line,
-         "fluid options require \"model\": \"fluid\"");
-  cc = "reno";
-  if (const auto* x = r.opt("cc")) {
-    cc = x->as_string(r.path_of("cc"));
-    try {
-      (void)factory_by_name(cc);
-    } catch (const std::invalid_argument&) {
-      std::string known;
-      for (const auto& n : variant_names()) known += (known.empty() ? "" : ", ") + n;
-      fail(SpecError::Code::kBadValue, r.path_of("cc"), x->line,
-           "unknown congestion-control variant '" + cc + "' (known: " + known + ")");
-    }
+  if constexpr (requires { Schema<S>::check(s, v, at); }) Schema<S>::check(s, v, at);
+}
+
+template <typename S>
+JsonValue write_object(const S& s) {
+  const S def{};
+  JsonValue out = JsonValue::make_object();
+  for (const Field<S>& f : Schema<S>::fields) {
+    if (f.write) f.write(s, f.presence == Presence::kOptional ? &def : nullptr, out, f.name);
   }
-  if (const auto* x = r.opt("ecn")) f.ecn = x->as_bool(r.path_of("ecn"));
-  if (const auto* x = r.opt("sender")) parse_sender_options(*x, r.path_of("sender"), f.sender);
-  if (const auto* x = r.opt("receiver"))
-    parse_receiver_options(*x, r.path_of("receiver"), f.receiver);
-  if (const auto* x = r.opt("web100")) {
-    ObjectReader w{*x, r.path_of("web100")};
-    f.web100 = true;
-    if (const auto* p = w.opt("poll"))
-      f.web100_poll_period = parse_time(p->as_string(w.path_of("poll")), w.path_of("poll"));
-    w.finish();
-  }
-  r.finish();
-  return f;
+  if constexpr (requires { Schema<S>::trim(s, out); }) Schema<S>::trim(s, out);
+  return out;
 }
 
-SweepSpec parse_sweep(const JsonValue& v, const std::string& path) {
-  ObjectReader r{v, path};
-  SweepSpec sweep;
-  if (const auto* x = r.opt("mode")) {
-    const std::string& m = x->as_string(r.path_of("mode"));
-    if (m == "grid") sweep.mode = SweepSpec::Mode::kGrid;
-    else if (m == "zip") sweep.mode = SweepSpec::Mode::kZip;
-    else
-      fail(SpecError::Code::kBadValue, r.path_of("mode"), x->line,
-           "unknown sweep mode '" + m + "' (expected \"grid\" or \"zip\")");
-  }
-  const JsonValue& axes = r.req("axes");
-  if (!axes.is_array())
-    fail(SpecError::Code::kWrongType, r.path_of("axes"), axes.line, "expected an array");
-  for (std::size_t i = 0; i < axes.array.size(); ++i) {
-    const std::string axis_path = idx(r.path_of("axes"), i);
-    ObjectReader a{axes.array[i], axis_path};
-    SweepAxis axis;
-    axis.field = a.req("field").as_string(sub(axis_path, "field"));
-    const JsonValue& values = a.req("values");
-    if (!values.is_array())
-      fail(SpecError::Code::kWrongType, sub(axis_path, "values"), values.line,
-           "expected an array");
-    if (values.array.empty())
-      fail(SpecError::Code::kBadSweep, sub(axis_path, "values"), values.line,
-           "sweep axis has no values");
-    for (const auto& value : values.array) {
-      if (value.is_array() || value.is_object())
-        fail(SpecError::Code::kBadSweep, sub(axis_path, "values"), value.line,
-             "sweep values must be scalars");
-      axis.values.push_back(value);
-    }
-    a.finish();
-    sweep.axes.push_back(std::move(axis));
-  }
-  if (sweep.mode == SweepSpec::Mode::kZip && !sweep.axes.empty()) {
-    const std::size_t len = sweep.axes.front().values.size();
-    for (const auto& axis : sweep.axes) {
-      if (axis.values.size() != len)
-        fail(SpecError::Code::kBadSweep, sub(path, "axes"), v.line,
-             "zip sweep axes must have equal lengths (axis '" +
-                 sweep.axes.front().field + "' has " + std::to_string(len) + ", axis '" +
-                 axis.field + "' has " + std::to_string(axis.values.size()) + ")");
-    }
-  }
-  r.finish();
-  return sweep;
-}
-
-// --- schema: serialize ----------------------------------------------------
-
-JsonValue red_to_json(const net::RedQueue::Options& red) {
-  const net::RedQueue::Options def{};
-  JsonValue o = JsonValue::make_object();
-  if (red.min_threshold != def.min_threshold)
-    o.set("min_threshold", JsonValue::make_number(red.min_threshold));
-  if (red.max_threshold != def.max_threshold)
-    o.set("max_threshold", JsonValue::make_number(red.max_threshold));
-  if (red.max_drop_probability != def.max_drop_probability)
-    o.set("max_drop_probability", JsonValue::make_number(red.max_drop_probability));
-  if (red.queue_weight != def.queue_weight)
-    o.set("queue_weight", JsonValue::make_number(red.queue_weight));
-  return o;
-}
-
-JsonValue codel_to_json(const net::CodelQueue::Options& codel) {
-  const net::CodelQueue::Options def{};
-  JsonValue o = JsonValue::make_object();
-  if (codel.target != def.target)
-    o.set("target", JsonValue::make_string(format_time(codel.target)));
-  if (codel.interval != def.interval)
-    o.set("interval", JsonValue::make_string(format_time(codel.interval)));
-  return o;
-}
-
-JsonValue device_to_json(const DeviceSpec& d) {
-  const DeviceSpec def{};
-  JsonValue o = JsonValue::make_object();
-  if (d.rate != def.rate) o.set("rate", JsonValue::make_string(format_rate(d.rate)));
-  if (d.ifq_packets != def.ifq_packets)
-    o.set("ifq_packets", JsonValue::make_number(static_cast<std::uint64_t>(d.ifq_packets)));
-  if (d.qdisc == QueueDiscipline::kRed) {
-    o.set("qdisc", JsonValue::make_string("red"));
-    JsonValue red = red_to_json(d.red);
-    if (!red.object.empty()) o.set("red", std::move(red));
-  } else if (d.qdisc == QueueDiscipline::kCodel) {
-    o.set("qdisc", JsonValue::make_string("codel"));
-    JsonValue codel = codel_to_json(d.codel);
-    if (!codel.object.empty()) o.set("codel", std::move(codel));
-  }
-  if (d.ecn_threshold != def.ecn_threshold)
-    o.set("ecn_threshold",
-          JsonValue::make_number(static_cast<std::uint64_t>(d.ecn_threshold)));
-  if (!d.name.empty()) o.set("name", JsonValue::make_string(d.name));
-  return o;
-}
-
-JsonValue link_to_json(const LinkSpec& l) {
-  JsonValue o = JsonValue::make_object();
-  o.set("a", JsonValue::make_string(l.a));
-  o.set("b", JsonValue::make_string(l.b));
-  o.set("delay", JsonValue::make_string(format_time(l.delay)));
-  JsonValue a_dev = device_to_json(l.a_dev);
-  if (!a_dev.object.empty()) o.set("a_dev", std::move(a_dev));
-  JsonValue b_dev = device_to_json(l.b_dev);
-  if (!b_dev.object.empty()) o.set("b_dev", std::move(b_dev));
-  return o;
-}
-
-JsonValue rtt_to_json(const tcp::RttEstimator::Options& rtt) {
-  const tcp::RttEstimator::Options def{};
-  JsonValue o = JsonValue::make_object();
-  if (rtt.initial_rto != def.initial_rto)
-    o.set("initial_rto", JsonValue::make_string(format_time(rtt.initial_rto)));
-  if (rtt.min_rto != def.min_rto)
-    o.set("min_rto", JsonValue::make_string(format_time(rtt.min_rto)));
-  if (rtt.max_rto != def.max_rto)
-    o.set("max_rto", JsonValue::make_string(format_time(rtt.max_rto)));
-  if (rtt.alpha != def.alpha) o.set("alpha", JsonValue::make_number(rtt.alpha));
-  if (rtt.beta != def.beta) o.set("beta", JsonValue::make_number(rtt.beta));
-  if (rtt.k != def.k) o.set("k", JsonValue::make_number(static_cast<std::int64_t>(rtt.k)));
-  return o;
-}
-
-JsonValue sender_to_json(const tcp::TcpSender::Options& o) {
-  const tcp::TcpSender::Options def{};
-  JsonValue j = JsonValue::make_object();
-  if (o.mss != def.mss) j.set("mss", JsonValue::make_number(static_cast<std::uint64_t>(o.mss)));
-  if (o.initial_seq != def.initial_seq)
-    j.set("initial_seq", JsonValue::make_number(static_cast<std::uint64_t>(o.initial_seq)));
-  if (o.rwnd_limit_bytes != def.rwnd_limit_bytes)
-    j.set("rwnd_limit_bytes", JsonValue::make_number(o.rwnd_limit_bytes));
-  if (o.stall_retry_delay != def.stall_retry_delay)
-    j.set("stall_retry_delay", JsonValue::make_string(format_time(o.stall_retry_delay)));
-  if (o.enable_sack != def.enable_sack) j.set("enable_sack", JsonValue::make_bool(o.enable_sack));
-  if (o.cwnd_validation != def.cwnd_validation)
-    j.set("cwnd_validation", JsonValue::make_bool(o.cwnd_validation));
-  if (o.trace_cwnd != def.trace_cwnd) j.set("trace_cwnd", JsonValue::make_bool(o.trace_cwnd));
-  if (o.trace_stalls != def.trace_stalls)
-    j.set("trace_stalls", JsonValue::make_bool(o.trace_stalls));
-  JsonValue rtt = rtt_to_json(o.rtt);
-  if (!rtt.object.empty()) j.set("rtt", std::move(rtt));
-  return j;
-}
-
-JsonValue receiver_to_json(const tcp::TcpReceiver::Options& o) {
-  const tcp::TcpReceiver::Options def{};
-  JsonValue j = JsonValue::make_object();
-  if (o.initial_seq != def.initial_seq)
-    j.set("initial_seq", JsonValue::make_number(static_cast<std::uint64_t>(o.initial_seq)));
-  if (o.advertised_window != def.advertised_window)
-    j.set("advertised_window",
-          JsonValue::make_number(static_cast<std::uint64_t>(o.advertised_window)));
-  if (o.ack_every != def.ack_every)
-    j.set("ack_every", JsonValue::make_number(static_cast<std::int64_t>(o.ack_every)));
-  if (o.delayed_ack_timeout != def.delayed_ack_timeout)
-    j.set("delayed_ack_timeout", JsonValue::make_string(format_time(o.delayed_ack_timeout)));
-  if (o.enable_sack != def.enable_sack) j.set("enable_sack", JsonValue::make_bool(o.enable_sack));
-  if (o.quickack_segments != def.quickack_segments)
-    j.set("quickack_segments", JsonValue::make_number(o.quickack_segments));
-  return j;
-}
-
-JsonValue fluid_to_json(const net::FluidOptions& o) {
-  const net::FluidOptions def{};
-  JsonValue j = JsonValue::make_object();
-  if (o.initial_rate != def.initial_rate)
-    j.set("initial_rate", JsonValue::make_string(format_rate(o.initial_rate)));
-  if (o.peak_rate != def.peak_rate)
-    j.set("peak_rate", JsonValue::make_string(format_rate(o.peak_rate)));
-  if (o.stride != def.stride) j.set("stride", JsonValue::make_string(format_time(o.stride)));
-  if (o.packet_bytes != def.packet_bytes)
-    j.set("packet_bytes", JsonValue::make_number(static_cast<std::uint64_t>(o.packet_bytes)));
-  if (o.rtt != def.rtt) j.set("rtt", JsonValue::make_string(format_time(o.rtt)));
-  if (o.decrease != def.decrease) j.set("decrease", JsonValue::make_number(o.decrease));
-  return j;
-}
-
-JsonValue flow_to_json(const FlowSpec& f, const std::string& cc) {
-  JsonValue o = JsonValue::make_object();
-  o.set("src", JsonValue::make_string(f.src));
-  o.set("dst", JsonValue::make_string(f.dst));
-  if (f.flow_id != 0)
-    o.set("id", JsonValue::make_number(static_cast<std::uint64_t>(f.flow_id)));
-  if (f.start) o.set("start", JsonValue::make_string(format_time(*f.start)));
-  if (f.model == TrafficModel::kFluid) {
-    o.set("model", JsonValue::make_string("fluid"));
-    JsonValue fluid = fluid_to_json(f.fluid);
-    if (!fluid.object.empty()) o.set("fluid", std::move(fluid));
-    return o;
-  }
-  o.set("cc", JsonValue::make_string(cc));
-  if (f.ecn) o.set("ecn", JsonValue::make_bool(true));
-  JsonValue sender = sender_to_json(f.sender);
-  if (!sender.object.empty()) o.set("sender", std::move(sender));
-  JsonValue receiver = receiver_to_json(f.receiver);
-  if (!receiver.object.empty()) o.set("receiver", std::move(receiver));
-  if (f.web100) {
-    JsonValue w = JsonValue::make_object();
-    if (f.web100_poll_period != FlowSpec{}.web100_poll_period)
-      w.set("poll", JsonValue::make_string(format_time(f.web100_poll_period)));
-    o.set("web100", std::move(w));
-  }
-  return o;
+void erase_key(JsonValue& object, std::string_view key) {
+  std::erase_if(object.object, [key](const auto& member) { return member.first == key; });
 }
 
 /// The queue-backend keys are gone, not unknown: name the replacement so an
 /// old spec fails with a fix instead of a bare unknown-field error.
-[[noreturn]] void fail_backend_key(const JsonValue& x, const std::string& field) {
-  fail(SpecError::Code::kUnknownField, field, x.line,
+template <typename S>
+void removed_backend(S& /*s*/, const JsonValue& v, const Where& at, std::int64_t /*min*/) {
+  fail(SpecError::Code::kUnknownField, at, v.line,
        "the \"backend\" key was removed: the binary heap is the only event queue; "
        "delete this key");
 }
 
-[[nodiscard]] ExecutionPolicy parse_execution(const JsonValue& v, const std::string& path) {
-  ObjectReader r{v, path};
-  ExecutionPolicy policy;
-  if (const auto* x = r.opt("backend")) fail_backend_key(*x, r.path_of("backend"));
-  if (const auto* x = r.opt("partitions")) {
-    const std::string field = r.path_of("partitions");
-    policy.partitions = static_cast<std::size_t>(x->as_u64(field));
-    if (policy.partitions == 0)
-      fail(SpecError::Code::kBadValue, field, x->line, "partitions must be >= 1");
+// --- the field lists ------------------------------------------------------
+
+template <>
+struct Schema<QueueDiscipline> {
+  using enum QueueDiscipline;
+  static constexpr EnumName<QueueDiscipline> names[] = {
+      {"droptail", kDropTail}, {"red", kRed}, {"codel", kCodel}};
+};
+
+template <>
+struct Schema<TrafficModel> {
+  using enum TrafficModel;
+  static constexpr EnumName<TrafficModel> names[] = {{"packet", kPacket}, {"fluid", kFluid}};
+};
+
+template <>
+struct Schema<PartitionStrategy> {
+  using enum PartitionStrategy;
+  static constexpr EnumName<PartitionStrategy> names[] = {{"auto", kAuto}, {"block", kBlock}};
+};
+
+template <>
+struct Schema<SweepSpec::Mode> {
+  using enum SweepSpec::Mode;
+  static constexpr EnumName<SweepSpec::Mode> names[] = {{"grid", kGrid}, {"zip", kZip}};
+};
+
+template <>
+struct Schema<net::RedQueue::Options> {
+  using S = net::RedQueue::Options;
+  static constexpr Field<S> fields[] = {
+      field<S, &S::min_threshold>("min_threshold"),
+      field<S, &S::max_threshold>("max_threshold"),
+      field<S, &S::max_drop_probability>("max_drop_probability"),
+      field<S, &S::queue_weight>("queue_weight"),
+  };
+};
+
+template <>
+struct Schema<net::CodelQueue::Options> {
+  using S = net::CodelQueue::Options;
+  static constexpr Field<S> fields[] = {
+      field<S, &S::target>("target"),
+      field<S, &S::interval>("interval"),
+  };
+};
+
+template <>
+struct Schema<DeviceSpec> {
+  using S = DeviceSpec;
+  static constexpr Field<S> fields[] = {
+      field<S, &S::rate>("rate"),
+      field<S, &S::ifq_packets>("ifq_packets", Presence::kOptional, 1),
+      field<S, &S::qdisc>("qdisc"),
+      field<S, &S::red>("red"),
+      field<S, &S::codel>("codel"),
+      field<S, &S::ecn_threshold>("ecn_threshold"),
+      field<S, &S::name>("name"),
+  };
+  /// Option blocks that only their own qdisc honours.
+  static constexpr EnumName<QueueDiscipline> qdisc_blocks[] = {
+      {"red", QueueDiscipline::kRed}, {"codel", QueueDiscipline::kCodel}};
+
+  static void check(const S& d, const JsonValue& v, const Where& at) {
+    for (const auto& [key, qdisc] : qdisc_blocks) {
+      const JsonValue* x = d.qdisc == qdisc ? nullptr : v.find(key);
+      if (x)
+        fail(SpecError::Code::kBadValue, at / key, x->line,
+             std::string{key} + " options require \"qdisc\": \"" + std::string{key} + "\"");
+    }
   }
-  if (const auto* x = r.opt("strategy")) {
-    const std::string field = r.path_of("strategy");
-    const std::string& s = x->as_string(field);
-    if (s == "auto") policy.strategy = PartitionStrategy::kAuto;
-    else if (s == "block") policy.strategy = PartitionStrategy::kBlock;
-    else
-      fail(SpecError::Code::kBadValue, field, x->line,
-           "unknown strategy '" + s + "' (expected \"auto\" or \"block\")");
+  static void trim(const S& d, JsonValue& out) {
+    for (const auto& [key, qdisc] : qdisc_blocks)
+      if (d.qdisc != qdisc) erase_key(out, key);
   }
-  if (const auto* x = r.opt("threads"))
-    policy.threads = static_cast<std::size_t>(x->as_u64(r.path_of("threads")));
-  r.finish();
-  return policy;
+};
+
+template <>
+struct Schema<LinkSpec> {
+  using S = LinkSpec;
+  static constexpr Field<S> fields[] = {
+      field<S, &S::a>("a", Presence::kRequired),
+      field<S, &S::b>("b", Presence::kRequired),
+      field<S, &S::delay>("delay", Presence::kEmitted),
+      field<S, &S::a_dev>("a_dev"),
+      field<S, &S::b_dev>("b_dev"),
+  };
+};
+
+template <>
+struct Schema<tcp::RttEstimator::Options> {
+  using S = tcp::RttEstimator::Options;
+  static constexpr Field<S> fields[] = {
+      field<S, &S::initial_rto>("initial_rto"),
+      field<S, &S::min_rto>("min_rto"),
+      field<S, &S::max_rto>("max_rto"),
+      field<S, &S::alpha>("alpha"),
+      field<S, &S::beta>("beta"),
+      field<S, &S::k>("k"),
+  };
+};
+
+template <>
+struct Schema<tcp::TcpSender::Options> {
+  using S = tcp::TcpSender::Options;
+  static constexpr Field<S> fields[] = {
+      field<S, &S::mss>("mss", Presence::kOptional, 1),
+      field<S, &S::initial_seq>("initial_seq"),
+      field<S, &S::rwnd_limit_bytes>("rwnd_limit_bytes"),
+      field<S, &S::stall_retry_delay>("stall_retry_delay"),
+      field<S, &S::enable_sack>("enable_sack"),
+      field<S, &S::cwnd_validation>("cwnd_validation"),
+      field<S, &S::trace_cwnd>("trace_cwnd"),
+      field<S, &S::trace_stalls>("trace_stalls"),
+      field<S, &S::rtt>("rtt"),
+  };
+};
+
+template <>
+struct Schema<tcp::TcpReceiver::Options> {
+  using S = tcp::TcpReceiver::Options;
+  static constexpr Field<S> fields[] = {
+      field<S, &S::initial_seq>("initial_seq"),
+      field<S, &S::advertised_window>("advertised_window"),
+      field<S, &S::ack_every>("ack_every", Presence::kOptional, 1),
+      field<S, &S::delayed_ack_timeout>("delayed_ack_timeout"),
+      field<S, &S::enable_sack>("enable_sack"),
+      field<S, &S::quickack_segments>("quickack_segments"),
+  };
+};
+
+template <>
+struct Schema<net::FluidOptions> {
+  using S = net::FluidOptions;
+  static constexpr Field<S> fields[] = {
+      field<S, &S::initial_rate>("initial_rate"),
+      field<S, &S::peak_rate>("peak_rate"),
+      field<S, &S::stride>("stride"),
+      field<S, &S::packet_bytes>("packet_bytes", Presence::kOptional, 1),
+      field<S, &S::rtt>("rtt"),
+      field<S, &S::decrease>("decrease"),
+  };
+  static void check(const S& o, const JsonValue& v, const Where& at) {
+    if (o.decrease <= 0.0 || o.decrease >= 1.0)
+      fail(SpecError::Code::kBadValue, at / "decrease", v.find("decrease")->line,
+           "decrease factor must be in (0, 1)");
+  }
+};
+
+/// A flow's `web100` object: its presence attaches the poller.
+struct Web100Block {
+  sim::Time poll{FlowSpec{}.web100_poll_period};
+};
+
+template <>
+struct Schema<Web100Block> {
+  using S = Web100Block;
+  static constexpr Field<S> fields[] = {field<S, &S::poll>("poll")};
+};
+
+/// A flow as the file spells it: the FlowSpec plus its congestion-control
+/// variant, which ScenarioSpec keeps beside the flow in flow_cc.
+struct FlowEntry : FlowSpec {
+  std::string cc{"reno"};  ///< a placeholder, never consulted, on fluid flows
+};
+
+void read_web100(FlowEntry& f, const JsonValue& v, const Where& at, std::int64_t /*min*/) {
+  Web100Block block;
+  read_object(block, v, at);
+  f.web100 = true;
+  f.web100_poll_period = block.poll;
 }
 
-/// Defaults elided field-by-field so a spec that only sets `partitions`
-/// round-trips as exactly {"partitions": N}.
-[[nodiscard]] JsonValue execution_to_json(const ExecutionPolicy& policy) {
-  const ExecutionPolicy def{};
-  JsonValue o = JsonValue::make_object();
-  if (policy.partitions != def.partitions)
-    o.set("partitions",
-          JsonValue::make_number(static_cast<std::uint64_t>(policy.partitions)));
-  if (policy.strategy != def.strategy) o.set("strategy", JsonValue::make_string("block"));
-  if (policy.threads != def.threads)
-    o.set("threads", JsonValue::make_number(static_cast<std::uint64_t>(policy.threads)));
-  return o;
+void write_web100(const FlowEntry& f, const FlowEntry* /*def*/, JsonValue& out,
+                  std::string_view name) {
+  if (f.web100) out.object.emplace_back(name, write_object(Web100Block{f.web100_poll_period}));
 }
 
-JsonValue sweep_to_json(const SweepSpec& sweep) {
-  JsonValue o = JsonValue::make_object();
-  if (sweep.mode == SweepSpec::Mode::kZip) o.set("mode", JsonValue::make_string("zip"));
-  JsonValue axes = JsonValue::make_array();
-  for (const auto& axis : sweep.axes) {
-    JsonValue a = JsonValue::make_object();
-    a.set("field", JsonValue::make_string(axis.field));
-    JsonValue values = JsonValue::make_array();
-    values.array = axis.values;
-    a.set("values", std::move(values));
-    axes.array.push_back(std::move(a));
+template <>
+struct Schema<FlowEntry> {
+  using S = FlowEntry;
+  static constexpr Field<S> fields[] = {
+      field<S, &S::src>("src", Presence::kRequired),
+      field<S, &S::dst>("dst", Presence::kRequired),
+      field<S, &S::flow_id>("id"),
+      field<S, &S::start>("start"),
+      field<S, &S::model>("model"),
+      field<S, &S::fluid>("fluid"),
+      field<S, &S::cc>("cc", Presence::kEmitted),
+      field<S, &S::ecn>("ecn"),
+      field<S, &S::sender>("sender"),
+      field<S, &S::receiver>("receiver"),
+      Field<S>{"web100", &read_web100, &write_web100},
+  };
+  /// A fluid aggregate has no TCP machinery: these are rejected on it
+  /// outright instead of silently ignored.
+  static constexpr std::string_view packet_only[] = {"cc", "ecn", "sender", "receiver", "web100"};
+
+  static void check(const S& f, const JsonValue& v, const Where& at) {
+    if (f.model == TrafficModel::kFluid) {
+      for (const std::string_view key : packet_only) {
+        if (const JsonValue* x = v.find(key))
+          fail(SpecError::Code::kBadValue, at / key, x->line,
+               "\"" + std::string{key} +
+                   "\" is packet-only; a fluid flow takes its dynamics from \"fluid\"");
+      }
+      return;
+    }
+    if (const JsonValue* x = v.find("fluid"))
+      fail(SpecError::Code::kBadValue, at / "fluid", x->line,
+           "fluid options require \"model\": \"fluid\"");
+    if (const JsonValue* x = v.find("cc")) {
+      try {
+        (void)factory_by_name(f.cc);
+      } catch (const std::invalid_argument&) {
+        std::string known;
+        for (const auto& n : variant_names()) known += (known.empty() ? "" : ", ") + n;
+        fail(SpecError::Code::kBadValue, at / "cc", x->line,
+             "unknown congestion-control variant '" + f.cc + "' (known: " + known + ")");
+      }
+    }
   }
-  o.set("axes", std::move(axes));
-  return o;
+  static void trim(const S& f, JsonValue& out) {
+    if (f.model != TrafficModel::kFluid) return erase_key(out, "fluid");
+    for (const std::string_view key : packet_only) erase_key(out, key);
+  }
+};
+
+template <>
+struct Schema<ExecutionPolicy> {
+  using S = ExecutionPolicy;
+  static constexpr Field<S> fields[] = {
+      Field<S>{"backend", &removed_backend<S>},
+      field<S, &S::partitions>("partitions", Presence::kOptional, 1),
+      field<S, &S::strategy>("strategy"),
+      field<S, &S::threads>("threads"),
+  };
+};
+
+template <>
+struct Schema<RunSpec> {
+  using S = RunSpec;
+  static constexpr Field<S> fields[] = {
+      field<S, &S::duration>("duration"),
+      field<S, &S::measure_start>("measure_start"),
+  };
+};
+
+template <>
+struct Schema<SweepAxis> {
+  using S = SweepAxis;
+  static constexpr Field<S> fields[] = {
+      field<S, &S::field>("field", Presence::kRequired),
+      field<S, &S::values>("values", Presence::kRequired),
+  };
+  static void check(const S& axis, const JsonValue& v, const Where& at) {
+    if (axis.values.empty())
+      fail(SpecError::Code::kBadSweep, at / "values", v.find("values")->line,
+           "sweep axis has no values");
+    for (const JsonValue& value : axis.values) {
+      if (value.is_array() || value.is_object())
+        fail(SpecError::Code::kBadSweep, at / "values", value.line, "sweep values must be scalars");
+    }
+  }
+};
+
+template <>
+struct Schema<SweepSpec> {
+  using S = SweepSpec;
+  static constexpr Field<S> fields[] = {
+      field<S, &S::mode>("mode"),
+      field<S, &S::axes>("axes", Presence::kRequired),
+  };
+  static void check(const S& sweep, const JsonValue& v, const Where& at) {
+    if (sweep.mode != SweepSpec::Mode::kZip) return;
+    for (const auto& axis : sweep.axes) {
+      const std::size_t len = sweep.axes.front().values.size();
+      if (axis.values.size() != len)
+        fail(SpecError::Code::kBadSweep, at / "axes", v.line,
+             "zip sweep axes must have equal lengths (axis '" + sweep.axes.front().field +
+                 "' has " + std::to_string(len) + ", axis '" + axis.field + "' has " +
+                 std::to_string(axis.values.size()) + ")");
+    }
+  }
+};
+
+/// `flows` pairs each FlowSpec with its flow_cc entry.
+void read_flows(ScenarioSpec& s, const JsonValue& v, const Where& at, std::int64_t min) {
+  std::vector<FlowEntry> flows;
+  read_value(flows, v, at, min);
+  for (FlowEntry& f : flows) {
+    s.flow_cc.push_back(f.cc);
+    s.topology.flows.push_back(std::move(f));
+  }
 }
+
+void write_flows(const ScenarioSpec& s, const ScenarioSpec* /*def*/, JsonValue& out,
+                 std::string_view name) {
+  if (s.topology.flows.empty()) return;
+  JsonValue flows = JsonValue::make_array();
+  for (std::size_t i = 0; i < s.topology.flows.size(); ++i) {
+    FlowEntry f{s.topology.flows[i]};
+    if (i < s.flow_cc.size()) f.cc = s.flow_cc[i];
+    flows.array.push_back(write_object(f));
+  }
+  out.object.emplace_back(name, std::move(flows));
+}
+
+template <>
+struct Schema<ScenarioSpec> {
+  using S = ScenarioSpec;
+  using T = TopologySpec;
+  static constexpr Field<S> fields[] = {
+      field<S, &S::name>("name"),
+      field<S, &S::topology, &T::seed>("seed"),
+      Field<S>{"backend", &removed_backend<S>},
+      field<S, &S::topology, &T::execution>("execution"),
+      field<S, &S::topology, &T::nodes>("nodes", Presence::kRequired),
+      field<S, &S::topology, &T::links>("links"),
+      Field<S>{"flows", &read_flows, &write_flows},
+      field<S, &S::run>("run"),
+      field<S, &S::sweep>("sweep"),
+  };
+  static void trim(const S& s, JsonValue& out) {
+    if (s.sweep.empty()) erase_key(out, "sweep");
+  }
+};
 
 }  // namespace
 
@@ -1153,50 +1181,8 @@ std::size_t SweepSpec::point_count() const {
 }
 
 ScenarioSpec parse_scenario_spec(const JsonValue& document) {
-  ObjectReader r{document, ""};
   ScenarioSpec s;
-  s.name = "scenario";
-  if (const auto* x = r.opt("name")) s.name = x->as_string("name");
-  if (const auto* x = r.opt("seed")) s.topology.seed = x->as_u64("seed");
-  if (const auto* x = r.opt("backend")) fail_backend_key(*x, "backend");
-  if (const auto* x = r.opt("execution"))
-    s.topology.execution = parse_execution(*x, "execution");
-
-  const JsonValue& nodes = r.req("nodes");
-  if (!nodes.is_array())
-    fail(SpecError::Code::kWrongType, "nodes", nodes.line, "expected an array");
-  for (std::size_t i = 0; i < nodes.array.size(); ++i)
-    s.topology.nodes.push_back(nodes.array[i].as_string(idx("nodes", i)));
-
-  if (const auto* links = r.opt("links")) {
-    if (!links->is_array())
-      fail(SpecError::Code::kWrongType, "links", links->line, "expected an array");
-    for (std::size_t i = 0; i < links->array.size(); ++i)
-      s.topology.links.push_back(parse_link(links->array[i], idx("links", i)));
-  }
-
-  if (const auto* flows = r.opt("flows")) {
-    if (!flows->is_array())
-      fail(SpecError::Code::kWrongType, "flows", flows->line, "expected an array");
-    for (std::size_t i = 0; i < flows->array.size(); ++i) {
-      std::string cc;
-      s.topology.flows.push_back(parse_flow(flows->array[i], idx("flows", i), cc));
-      s.flow_cc.push_back(std::move(cc));
-    }
-  }
-
-  if (const auto* run = r.opt("run")) {
-    ObjectReader rr{*run, "run"};
-    if (const auto* x = rr.opt("duration"))
-      s.run.duration = parse_time(x->as_string("run.duration"), "run.duration");
-    if (const auto* x = rr.opt("measure_start"))
-      s.run.measure_start = parse_time(x->as_string("run.measure_start"), "run.measure_start");
-    rr.finish();
-  }
-
-  if (const auto* sweep = r.opt("sweep")) s.sweep = parse_sweep(*sweep, "sweep");
-
-  r.finish();
+  read_object(s, document, {});
   return s;
 }
 
@@ -1228,48 +1214,7 @@ void check_scenario_spec(const ScenarioSpec& spec) {
   }
 }
 
-JsonValue scenario_spec_to_json(const ScenarioSpec& spec) {
-  JsonValue root = JsonValue::make_object();
-  if (spec.name != "scenario") root.set("name", JsonValue::make_string(spec.name));
-  if (spec.topology.seed != TopologySpec{}.seed)
-    root.set("seed", JsonValue::make_number(spec.topology.seed));
-  // Emitted only when non-default, so pre-execution specs (and all the
-  // goldens) stay byte-identical through a round trip.
-  if (!spec.topology.execution.is_default())
-    root.set("execution", execution_to_json(spec.topology.execution));
-
-  JsonValue nodes = JsonValue::make_array();
-  for (const auto& n : spec.topology.nodes) nodes.array.push_back(JsonValue::make_string(n));
-  root.set("nodes", std::move(nodes));
-
-  if (!spec.topology.links.empty()) {
-    JsonValue links = JsonValue::make_array();
-    for (const auto& l : spec.topology.links) links.array.push_back(link_to_json(l));
-    root.set("links", std::move(links));
-  }
-
-  if (!spec.topology.flows.empty()) {
-    JsonValue flows = JsonValue::make_array();
-    for (std::size_t i = 0; i < spec.topology.flows.size(); ++i) {
-      const std::string cc = i < spec.flow_cc.size() ? spec.flow_cc[i] : "reno";
-      flows.array.push_back(flow_to_json(spec.topology.flows[i], cc));
-    }
-    root.set("flows", std::move(flows));
-  }
-
-  const RunSpec run_def{};
-  if (spec.run.duration != run_def.duration || spec.run.measure_start != run_def.measure_start) {
-    JsonValue run = JsonValue::make_object();
-    if (spec.run.duration != run_def.duration)
-      run.set("duration", JsonValue::make_string(format_time(spec.run.duration)));
-    if (spec.run.measure_start != run_def.measure_start)
-      run.set("measure_start", JsonValue::make_string(format_time(spec.run.measure_start)));
-    root.set("run", std::move(run));
-  }
-
-  if (!spec.sweep.empty()) root.set("sweep", sweep_to_json(spec.sweep));
-  return root;
-}
+JsonValue scenario_spec_to_json(const ScenarioSpec& spec) { return write_object(spec); }
 
 std::string serialize_scenario_spec(const ScenarioSpec& spec) {
   return json_serialize(scenario_spec_to_json(spec));
@@ -1378,7 +1323,8 @@ std::vector<SweepPoint> expand_scenario_spec(const JsonValue& document) {
     point.spec = parse_scenario_spec(document);
     return {std::move(point)};
   }
-  const SweepSpec sweep = parse_sweep(*sweep_json, "sweep");
+  SweepSpec sweep;
+  read_object(sweep, *sweep_json, Where{} / "sweep");
 
   // The base document: everything except the sweep block.
   JsonValue base = JsonValue::make_object();

@@ -161,7 +161,7 @@ struct SweepSpec {
 /// A parsed scenario file: everything needed to build and run the study
 /// without recompiling.
 struct ScenarioSpec {
-  std::string name;               ///< study label (defaults to "scenario")
+  std::string name{"scenario"};   ///< study label
   TopologySpec topology;
   std::vector<std::string> flow_cc;  ///< variant name per flow ("reno", "rss", ...)
   RunSpec run;

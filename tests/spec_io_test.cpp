@@ -447,6 +447,77 @@ TEST(ScenarioSpecTest, EveryFieldRoundTripsAtANonDefaultValue) {
   EXPECT_EQ(s.sweep.mode, SweepSpec::Mode::kZip);
 }
 
+/// The SpecError a one-flow spec raises with `flow_fields` spliced into
+/// its flow object (nullopt when it parses).
+std::optional<SpecError> flow_spec_error(const std::string& flow_fields) {
+  return spec_error_full([&] {
+    (void)parse_scenario_spec(R"({"nodes": ["a", "b"], "links": [{"a": "a", "b": "b"}],
+                                  "flows": [{"src": "a", "dst": "b", )" +
+                              flow_fields + "}]}");
+  });
+}
+
+TEST(ScenarioSpecTest, IntegerBeyondItsTypeIsABadValueNotAWrap) {
+  // 4294967300 = 2^32 + 4 once wrapped to k = 4.
+  const auto err = flow_spec_error(R"("sender": {"rtt": {"k": 4294967300}})");
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(err->code(), Code::kBadValue);
+  EXPECT_EQ(err->field(), "flows[0].sender.rtt.k");
+}
+
+TEST(ScenarioSpecTest, AckEveryBeyondIntIsABadValueNotAWrap) {
+  // 4294967297 = 2^32 + 1 once wrapped to ack_every = 1.
+  const auto err = flow_spec_error(R"("receiver": {"ack_every": 4294967297})");
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(err->code(), Code::kBadValue);
+  EXPECT_EQ(err->field(), "flows[0].receiver.ack_every");
+}
+
+TEST(ScenarioSpecTest, ZeroAckEveryIsRejectedAtParse) {
+  // TcpReceiver's constructor rejects it; the spec must not validate it.
+  const auto err = flow_spec_error(R"("receiver": {"ack_every": 0})");
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(err->code(), Code::kBadValue);
+  EXPECT_EQ(err->field(), "flows[0].receiver.ack_every");
+}
+
+TEST(ScenarioSpecTest, ZeroMssIsRejectedAtParse) {
+  // TcpSender's constructor rejects it; the spec must not validate it.
+  const auto err = flow_spec_error(R"("sender": {"mss": 0})");
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(err->code(), Code::kBadValue);
+  EXPECT_EQ(err->field(), "flows[0].sender.mss");
+}
+
+TEST(ScenarioSpecTest, ZeroQueueAndFluidPacketSizesAreRejectedAtParse) {
+  // The queue and FluidSource constructors reject both; so must the spec.
+  const auto ifq = spec_error_full([] {
+    (void)parse_scenario_spec(
+        R"({"nodes": ["a", "b"], "links": [{"a": "a", "b": "b", "b_dev": {"ifq_packets": 0}}]})");
+  });
+  ASSERT_TRUE(ifq.has_value());
+  EXPECT_EQ(ifq->code(), Code::kBadValue);
+  EXPECT_EQ(ifq->field(), "links[0].b_dev.ifq_packets");
+  const auto fluid = flow_spec_error(R"("model": "fluid", "fluid": {"packet_bytes": 0})");
+  ASSERT_TRUE(fluid.has_value());
+  EXPECT_EQ(fluid->code(), Code::kBadValue);
+  EXPECT_EQ(fluid->field(), "flows[0].fluid.packet_bytes");
+}
+
+TEST(ScenarioSpecTest, DoublesKeepEveryDigitThroughARoundTrip) {
+  // Ten significant digits would emit 0.123456789, a different double.
+  const ScenarioSpec s = parse_scenario_spec(R"({"nodes": ["a", "b"],
+    "links": [{"a": "a", "b": "b"}],
+    "flows": [{"src": "a", "dst": "b", "sender": {"rtt": {"alpha": 0.1234567890123}}}]})");
+  ASSERT_EQ(s.topology.flows[0].sender.rtt.alpha, 0.1234567890123);
+  const std::string once = serialize_scenario_spec(s);
+  const ScenarioSpec again = parse_scenario_spec(once);
+  EXPECT_EQ(again.topology.flows[0].sender.rtt.alpha, 0.1234567890123);
+  EXPECT_EQ(serialize_scenario_spec(again), once);
+  // Values that ten digits already carry keep their short form.
+  EXPECT_EQ(json_serialize(JsonValue::make_number(0.002)), "0.002\n");
+}
+
 // --- sweep ----------------------------------------------------------------
 
 constexpr const char* kSweepBase = R"({
