@@ -572,7 +572,7 @@ constexpr Unit kRateUnits[] = {
 /// strictness of the JSON layer. Throws kBadValue on a malformed number, an
 /// unknown unit, or a result outside [lo, hi].
 double in_base_units(const std::string& text, const Where& at, std::span<const Unit> units,
-                     const char* kind, double lo, double hi) {
+                     std::string_view kind, double lo, double hi) {
   std::size_t i = 0;
   while (i < text.size() && std::isdigit(static_cast<unsigned char>(text[i]))) ++i;
   const std::size_t int_digits = i;
@@ -590,14 +590,16 @@ double in_base_units(const std::string& text, const Where& at, std::span<const U
     if (unit.suffix != std::string_view{text}.substr(i)) continue;
     const double x = v * static_cast<double>(unit.scale);
     if (x < lo || x > hi)
-      fail(SpecError::Code::kBadValue, at, 0, kind + (" '" + text + "' out of range"));
+      fail(SpecError::Code::kBadValue, at, 0, std::string{kind} + " '" + text + "' out of range");
     return x + 0.5;
   }
   std::string expected;
-  for (std::size_t u = 0; u < units.size(); ++u)
-    expected += (u == 0 ? "" : u + 1 < units.size() ? ", " : ", or ") + std::string{units[u].suffix};
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    if (u > 0) expected += u + 1 < units.size() ? ", " : ", or ";
+    expected += units[u].suffix;
+  }
   fail(SpecError::Code::kBadValue, at, 0,
-       "bad " + (kind + (" unit in '" + text + "' (expected " + expected + ")")));
+       "bad " + std::string{kind} + " unit in '" + text + "' (expected " + expected + ")");
 }
 
 /// `count` base units in the largest unit that divides it exactly.
