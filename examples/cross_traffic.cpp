@@ -12,8 +12,9 @@
 #include <iostream>
 
 #include "net/trace.hpp"
+#include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
-#include "scenario/wan_path.hpp"
+#include "scenario/presets.hpp"
 #include "web100/csv_export.hpp"
 #include "workload/apps.hpp"
 
@@ -24,34 +25,35 @@ namespace {
 
 void run(const char* label, const scenario::CcFactory& factory, double cross_mbps,
          bool dump_csv) {
-  scenario::WanPath::Config cfg;
+  scenario::WanPathConfig cfg;
   cfg.web100_poll_period = 250_ms;
-  scenario::WanPath wan{cfg, factory};
+  auto wan = scenario::ScenarioBuilder{scenario::wan_path_spec(cfg)}.build(factory);
 
   workload::PoissonPacketSource::Options xopt;
   xopt.dst_node = 2;
   xopt.payload_bytes = 1460;
   xopt.packets_per_second = cross_mbps * 1e6 / 8.0 / 1500.0;
-  workload::PoissonPacketSource cross{wan.simulation(), wan.sender_node(), xopt};
+  workload::PoissonPacketSource cross{wan->simulation(), wan->node("sender"), xopt};
 
   net::PacketTracer tracer;
-  tracer.attach(wan.nic());
+  tracer.attach(wan->device("sender", "receiver"));
 
   const sim::Time horizon = 20_s;
-  wan.run_bulk_transfer(sim::Time::zero(), horizon);
+  wan->start_flow(0, sim::Time::zero());
+  wan->run_until(horizon);
 
-  const double tcp_mbps = wan.goodput_mbps(sim::Time::zero(), horizon);
+  const double tcp_mbps = wan->sender(0).goodput_mbps(sim::Time::zero(), horizon);
   const double cross_got =
       static_cast<double>(cross.packets_sent()) * 1500.0 * 8.0 / horizon.to_seconds() / 1e6;
   std::printf("%-24s tcp %6.1f Mb/s + cross %5.1f Mb/s  | tcp stalls %4llu, "
               "cross drops %5llu\n",
               label, tcp_mbps, cross_got,
-              static_cast<unsigned long long>(wan.sender().mib().SendStall),
+              static_cast<unsigned long long>(wan->sender(0).mib().SendStall),
               static_cast<unsigned long long>(cross.packets_stalled()));
 
   if (dump_csv) {
     std::printf("\nWeb100 log of the RSS run (1 s grid):\n");
-    web100::export_csv(*wan.agent(), std::cout,
+    web100::export_csv(*wan->agent(0), std::cout,
                        {"SendStall", "CurCwnd", "ThruBytesAcked", "SmoothedRTT_ms"},
                        sim::Time::zero(), horizon, 1_s);
   }

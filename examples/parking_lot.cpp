@@ -1,6 +1,6 @@
 // Declarative-topology tour: the same 2-hop parking lot built twice —
 // once from a hand-filled TopologySpec through ScenarioBuilder (showing
-// the describe-as-data API), once with the ParkingLot preset — then run
+// the describe-as-data API), once with the parking_lot_spec preset — then run
 // with an RSS end-to-end flow against Reno cross traffic.
 
 #include <cstdio>
@@ -70,17 +70,17 @@ int main() {
                   scenario->device("r1", "r2").ifq().stats().dropped));
 
   // --- 2. the same shape, one preset call ----------------------------------
-  scenario::ParkingLot::Config cfg;
+  scenario::ParkingLotConfig cfg;
   cfg.hops = 2;
   cfg.hop_delays = {10_ms, 25_ms};
   cfg.access_rate = net::DataRate::mbps(100);
-  scenario::ParkingLot lot{cfg, scenario::striped_cc({scenario::make_rss_factory(),
-                                                      scenario::make_reno_factory(),
-                                                      scenario::make_reno_factory()})};
-  lot.start_all(0_s);
-  lot.simulation().run_until(horizon);
-  const auto preset_goodputs = lot.goodputs_mbps(0_s, horizon);
-  std::printf("ParkingLot preset: end-to-end %.2f Mbit/s over %zu hops\n",
+  auto lot = scenario::ScenarioBuilder{scenario::parking_lot_spec(cfg)}.build(
+      scenario::striped_cc({scenario::make_rss_factory(), scenario::make_reno_factory(),
+                            scenario::make_reno_factory()}));
+  for (std::size_t i = 0; i < lot->flow_count(); ++i) lot->start_flow(i, 0_s);
+  lot->run_until(horizon);
+  const auto preset_goodputs = lot->goodputs_mbps(0_s, horizon);
+  std::printf("parking_lot_spec preset: end-to-end %.2f Mbit/s over %zu hops\n",
               preset_goodputs[0], cfg.hops);
   return 0;
 }

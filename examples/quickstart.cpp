@@ -6,8 +6,9 @@
 
 #include <cstdio>
 
+#include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
-#include "scenario/wan_path.hpp"
+#include "scenario/presets.hpp"
 
 using namespace rss;
 using namespace rss::sim::literals;
@@ -15,18 +16,20 @@ using namespace rss::sim::literals;
 namespace {
 
 void run_variant(const char* label, const scenario::CcFactory& factory) {
-  scenario::WanPath wan{scenario::WanPath::Config{}, factory};
+  auto wan = scenario::ScenarioBuilder{scenario::wan_path_spec({})}.build(factory);
   const sim::Time horizon = 25_s;
-  wan.run_bulk_transfer(sim::Time::zero(), horizon);
+  wan->start_flow(0, sim::Time::zero());
+  wan->run_until(horizon);
 
-  const auto& mib = wan.sender().mib();
+  const tcp::TcpSender& sender = wan->sender(0);
+  const auto& mib = sender.mib();
   std::printf("%-24s  goodput %6.1f Mbit/s  send-stalls %3llu  timeouts %2llu  "
               "retrans %4llu  max-cwnd %5.0f pkts\n",
-              label, wan.goodput_mbps(sim::Time::zero(), horizon),
+              label, sender.goodput_mbps(sim::Time::zero(), horizon),
               static_cast<unsigned long long>(mib.SendStall),
               static_cast<unsigned long long>(mib.Timeouts),
               static_cast<unsigned long long>(mib.PktsRetrans),
-              mib.MaxCwnd / static_cast<double>(wan.sender().mss()));
+              mib.MaxCwnd / static_cast<double>(sender.mss()));
 }
 
 }  // namespace

@@ -21,8 +21,9 @@
 #include <iostream>
 #include <string>
 
+#include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
-#include "scenario/wan_path.hpp"
+#include "scenario/presets.hpp"
 #include "web100/csv_export.hpp"
 #include "workload/apps.hpp"
 
@@ -105,18 +106,18 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  scenario::WanPath::Config cfg;
+  scenario::WanPathConfig cfg;
   cfg.seed = args.seed;
   cfg.path.nic_rate = net::DataRate::mbps(args.rate_mbps);
   cfg.path.ifq_capacity_packets = args.ifq;
   cfg.path.one_way_delay = sim::Time::milliseconds(args.rtt_ms / 2);
   cfg.web100_poll_period = 100_ms;
-  scenario::WanPath wan{cfg, factory};
+  auto wan = scenario::ScenarioBuilder{scenario::wan_path_spec(cfg)}.build(factory);
 
-  if (args.loss > 0.0) wan.nic().link()->set_loss_rate(args.loss, sim::Rng{args.seed + 1});
+  net::PointToPointLink& link = *wan->device("sender", "receiver").link();
+  if (args.loss > 0.0) link.set_loss_rate(args.loss, sim::Rng{args.seed + 1});
   if (args.jitter_ms > 0) {
-    wan.nic().link()->set_jitter(sim::Time::milliseconds(args.jitter_ms),
-                                 sim::Rng{args.seed + 2});
+    link.set_jitter(sim::Time::milliseconds(args.jitter_ms), sim::Rng{args.seed + 2});
   }
 
   std::unique_ptr<workload::PoissonPacketSource> cross;
@@ -125,19 +126,20 @@ int main(int argc, char** argv) {
     xopt.dst_node = 2;
     xopt.payload_bytes = 1460;
     xopt.packets_per_second = args.cross_mbps * 1e6 / 8.0 / 1500.0;
-    cross = std::make_unique<workload::PoissonPacketSource>(wan.simulation(),
-                                                            wan.sender_node(), xopt);
+    cross = std::make_unique<workload::PoissonPacketSource>(wan->simulation(),
+                                                            wan->node("sender"), xopt);
   }
 
   const sim::Time horizon = sim::Time::seconds(args.duration_s);
-  wan.run_bulk_transfer(sim::Time::zero(), horizon);
+  wan->start_flow(0, sim::Time::zero());
+  wan->run_until(horizon);
 
   if (args.csv) {
-    web100::export_csv(*wan.agent(), std::cout, sim::Time::zero(), horizon, 100_ms);
+    web100::export_csv(*wan->agent(0), std::cout, sim::Time::zero(), horizon, 100_ms);
     return 0;
   }
 
-  const auto& mib = wan.sender().mib();
+  const auto& mib = wan->sender(0).mib();
   std::printf("variant            %s\n", args.variant.c_str());
   std::printf("path               %llu Mbit/s, RTT %lld ms, IFQ %zu pkts",
               static_cast<unsigned long long>(args.rate_mbps),
@@ -147,7 +149,7 @@ int main(int argc, char** argv) {
   if (cross) std::printf(", cross %.1f Mbit/s", args.cross_mbps);
   std::printf("\n");
   std::printf("goodput            %.2f Mbit/s over %lld s\n",
-              wan.goodput_mbps(sim::Time::zero(), horizon),
+              wan->sender(0).goodput_mbps(sim::Time::zero(), horizon),
               static_cast<long long>(args.duration_s));
   std::printf("send-stalls        %llu\n", static_cast<unsigned long long>(mib.SendStall));
   std::printf("congestion signals %llu (fast-retransmit %llu, timeouts %llu, cwr %llu)\n",

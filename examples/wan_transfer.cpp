@@ -12,8 +12,9 @@
 #include <string>
 
 #include "metrics/csv.hpp"
+#include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
-#include "scenario/wan_path.hpp"
+#include "scenario/presets.hpp"
 
 using namespace rss;
 using namespace rss::sim::literals;
@@ -38,24 +39,26 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  scenario::WanPath::Config cfg;
+  scenario::WanPathConfig cfg;
   cfg.web100_poll_period = 100_ms;
   cfg.sender.trace_cwnd = true;
-  scenario::WanPath wan{cfg, factory};
+  auto wan = scenario::ScenarioBuilder{scenario::wan_path_spec(cfg)}.build(factory);
+  const net::NetDevice& nic = wan->device("sender", "receiver");
 
   // Sample IFQ occupancy alongside the Web100 poller.
   metrics::TimeSeries ifq{"ifq"};
-  wan.simulation().every(100_ms, [&](sim::Time now) {
-    ifq.record(now, static_cast<double>(wan.nic().occupancy_packets()));
+  wan->simulation().every(100_ms, [&](sim::Time now) {
+    ifq.record(now, static_cast<double>(nic.occupancy_packets()));
     return true;
   });
 
   const sim::Time horizon = sim::Time::seconds(seconds);
-  wan.run_bulk_transfer(sim::Time::zero(), horizon);
+  wan->start_flow(0, sim::Time::zero());
+  wan->run_until(horizon);
 
   metrics::CsvWriter csv{std::cout};
   csv.header({"t_s", "cwnd_pkts", "ifq_pkts", "send_stalls", "acked_mbytes", "srtt_ms"});
-  const auto* agent = wan.agent();
+  const auto* agent = wan->agent(0);
   const auto& stalls = agent->series("SendStall");
   const auto& acked = agent->series("ThruBytesAcked");
   const auto& cwnd = agent->series("CurCwnd");
@@ -71,7 +74,7 @@ int main(int argc, char** argv) {
   }
 
   std::fprintf(stderr, "%s: goodput %.1f Mbit/s, %llu send-stalls over %d s\n",
-               variant.c_str(), wan.goodput_mbps(sim::Time::zero(), horizon),
-               static_cast<unsigned long long>(wan.sender().mib().SendStall), seconds);
+               variant.c_str(), wan->sender(0).goodput_mbps(sim::Time::zero(), horizon),
+               static_cast<unsigned long long>(wan->sender(0).mib().SendStall), seconds);
   return 0;
 }

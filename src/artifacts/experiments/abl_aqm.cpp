@@ -15,8 +15,9 @@
 #include "artifacts/experiments.hpp"
 #include "metrics/summary.hpp"
 #include "net/queue.hpp"
+#include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
-#include "scenario/dumbbell.hpp"
+#include "scenario/presets.hpp"
 #include "scenario/sweep.hpp"
 
 namespace rss::artifacts {
@@ -34,25 +35,23 @@ struct PopulationRow {
 };
 
 PopulationRow run_population(const std::string& label, bool use_rss) {
-  scenario::Dumbbell::Config cfg;
+  scenario::DumbbellConfig cfg;
   cfg.flows = 4;
   cfg.access_rate = net::DataRate::mbps(100);  // host-limited startups
-  scenario::Dumbbell d{cfg, [use_rss](std::size_t) -> std::unique_ptr<tcp::CongestionControl> {
-                         if (use_rss) return std::make_unique<core::RestrictedSlowStart>();
-                         return std::make_unique<tcp::RenoCongestionControl>();
-                       }};
+  auto d = scenario::ScenarioBuilder{scenario::dumbbell_spec(cfg)}.build(
+      use_rss ? scenario::make_rss_factory() : scenario::make_reno_factory());
   for (std::size_t i = 0; i < cfg.flows; ++i)
-    d.start_flow(i, sim::Time::milliseconds(static_cast<std::int64_t>(500 * i)));
+    d->start_flow(i, sim::Time::milliseconds(static_cast<std::int64_t>(500 * i)));
   const sim::Time horizon = 30_s;
-  d.simulation().run_until(horizon);
+  d->run_until(horizon);
 
   PopulationRow r;
   r.label = label;
-  const auto goodputs = d.goodputs_mbps(sim::Time::zero(), horizon);
+  const auto goodputs = d->goodputs_mbps(sim::Time::zero(), horizon);
   r.total = std::accumulate(goodputs.begin(), goodputs.end(), 0.0);
   r.fairness = metrics::jain_fairness(goodputs);
-  r.router_drops = d.bottleneck().ifq().stats().dropped;
-  for (std::size_t i = 0; i < cfg.flows; ++i) r.stalls += d.sender(i).mib().SendStall;
+  r.router_drops = d->device("routerL", "routerR").ifq().stats().dropped;
+  for (std::size_t i = 0; i < cfg.flows; ++i) r.stalls += d->sender(i).mib().SendStall;
   return r;
 }
 

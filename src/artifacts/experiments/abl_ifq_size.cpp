@@ -7,9 +7,10 @@
 #include <vector>
 
 #include "artifacts/experiments.hpp"
+#include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
+#include "scenario/presets.hpp"
 #include "scenario/sweep.hpp"
-#include "scenario/wan_path.hpp"
 
 namespace rss::artifacts {
 
@@ -38,14 +39,15 @@ Experiment make_abl_ifq_size_experiment() {
     scenario::parallel_sweep(sizes.size() * 2, [&](std::size_t job) {
       const std::size_t i = job / 2;
       const bool use_rss = job % 2 == 1;
-      scenario::WanPath::Config cfg;
+      scenario::WanPathConfig cfg;
       cfg.enable_web100 = false;
       cfg.path.ifq_capacity_packets = sizes[i];
-      scenario::WanPath wan{
-          cfg, use_rss ? scenario::make_rss_factory() : scenario::make_reno_factory()};
-      wan.run_bulk_transfer(sim::Time::zero(), horizon);
-      Cell cell{wan.goodput_mbps(sim::Time::zero(), horizon),
-                static_cast<unsigned long long>(wan.sender().mib().SendStall)};
+      auto wan = scenario::ScenarioBuilder{scenario::wan_path_spec(cfg)}.build(
+          use_rss ? scenario::make_rss_factory() : scenario::make_reno_factory());
+      wan->start_flow(0, sim::Time::zero());
+      wan->run_until(horizon);
+      Cell cell{wan->sender(0).goodput_mbps(sim::Time::zero(), horizon),
+                static_cast<unsigned long long>(wan->sender(0).mib().SendStall)};
       (use_rss ? rows[i].rss : rows[i].standard) = cell;
     });
 

@@ -7,9 +7,10 @@
 
 #include "artifacts/experiments.hpp"
 #include "metrics/timeseries.hpp"
+#include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
+#include "scenario/presets.hpp"
 #include "scenario/sweep.hpp"
-#include "scenario/wan_path.hpp"
 
 namespace rss::artifacts {
 
@@ -54,27 +55,30 @@ Experiment make_abl_pid_gains_experiment() {
     scenario::parallel_sweep(variants.size(), [&](std::size_t i) {
       core::RestrictedSlowStart::Options opt;
       opt.gains = variants[i].gains;
-      scenario::WanPath::Config cfg;
+      scenario::WanPathConfig cfg;
       cfg.enable_web100 = false;
-      scenario::WanPath wan{cfg, scenario::make_rss_factory(opt)};
+      auto wan = scenario::ScenarioBuilder{scenario::wan_path_spec(cfg)}.build(
+          scenario::make_rss_factory(opt));
+      const net::NetDevice& nic = wan->device("sender", "receiver");
 
       metrics::TimeSeries ifq{"ifq"};
       double t_ramp = -1.0;
       std::uint64_t last_acked = 0;
-      wan.simulation().every(20_ms, [&](sim::Time now) {
-        ifq.record(now, static_cast<double>(wan.nic().occupancy_packets()));
-        const std::uint64_t acked = wan.sender().bytes_acked();
+      wan->simulation().every(20_ms, [&](sim::Time now) {
+        ifq.record(now, static_cast<double>(nic.occupancy_packets()));
+        const std::uint64_t acked = wan->sender(0).bytes_acked();
         const double inst_mbps = static_cast<double>(acked - last_acked) * 8.0 / 0.02 / 1e6;
         last_acked = acked;
         if (t_ramp < 0.0 && inst_mbps > 85.0) t_ramp = now.to_seconds();
         return true;
       });
-      wan.run_bulk_transfer(sim::Time::zero(), horizon);
+      wan->start_flow(0, sim::Time::zero());
+      wan->run_until(horizon);
 
       // Occupancy dispersion in steady state measures control quality.
-      rows[i] = {wan.goodput_mbps(sim::Time::zero(), horizon),
+      rows[i] = {wan->sender(0).goodput_mbps(sim::Time::zero(), horizon),
                  ifq.time_weighted_mean(10_s, horizon), ifq.stddev_from(10_s, horizon),
-                 static_cast<unsigned long long>(wan.sender().mib().SendStall), t_ramp};
+                 static_cast<unsigned long long>(wan->sender(0).mib().SendStall), t_ramp};
     });
 
     metrics::Table table{

@@ -8,9 +8,10 @@
 
 #include "artifacts/experiments.hpp"
 #include "metrics/timeseries.hpp"
+#include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
+#include "scenario/presets.hpp"
 #include "scenario/sweep.hpp"
-#include "scenario/wan_path.hpp"
 
 namespace rss::artifacts {
 
@@ -52,19 +53,22 @@ Experiment make_abl_sampling_experiment() {
     const sim::Time horizon = 25_s;
 
     scenario::parallel_sweep(variants.size(), [&](std::size_t i) {
-      scenario::WanPath::Config cfg;
+      scenario::WanPathConfig cfg;
       cfg.enable_web100 = false;
-      scenario::WanPath wan{cfg, scenario::make_rss_factory(variants[i].opt)};
+      auto wan = scenario::ScenarioBuilder{scenario::wan_path_spec(cfg)}.build(
+          scenario::make_rss_factory(variants[i].opt));
+      const net::NetDevice& nic = wan->device("sender", "receiver");
       metrics::TimeSeries ifq{"ifq"};
-      wan.simulation().every(20_ms, [&](sim::Time now) {
-        ifq.record(now, static_cast<double>(wan.nic().occupancy_packets()));
+      wan->simulation().every(20_ms, [&](sim::Time now) {
+        ifq.record(now, static_cast<double>(nic.occupancy_packets()));
         return true;
       });
-      wan.run_bulk_transfer(sim::Time::zero(), horizon);
+      wan->start_flow(0, sim::Time::zero());
+      wan->run_until(horizon);
 
-      rows[i] = {wan.goodput_mbps(sim::Time::zero(), horizon),
+      rows[i] = {wan->sender(0).goodput_mbps(sim::Time::zero(), horizon),
                  ifq.stddev_from(10_s, horizon),
-                 static_cast<unsigned long long>(wan.sender().mib().SendStall)};
+                 static_cast<unsigned long long>(wan->sender(0).mib().SendStall)};
     });
 
     metrics::Table table{{"controller", "goodput_mbps", "ifq_sigma", "stalls"}};

@@ -7,9 +7,10 @@
 
 #include "artifacts/experiments.hpp"
 #include "metrics/timeseries.hpp"
+#include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
+#include "scenario/presets.hpp"
 #include "scenario/sweep.hpp"
-#include "scenario/wan_path.hpp"
 
 namespace rss::artifacts {
 
@@ -38,20 +39,23 @@ Experiment make_abl_setpoint_experiment() {
     scenario::parallel_sweep(fractions.size(), [&](std::size_t i) {
       core::RestrictedSlowStart::Options rss_opt;
       rss_opt.setpoint_fraction = fractions[i];
-      scenario::WanPath::Config cfg;
+      scenario::WanPathConfig cfg;
       cfg.enable_web100 = false;
-      scenario::WanPath wan{cfg, scenario::make_rss_factory(rss_opt)};
+      auto wan = scenario::ScenarioBuilder{scenario::wan_path_spec(cfg)}.build(
+          scenario::make_rss_factory(rss_opt));
+      const net::NetDevice& nic = wan->device("sender", "receiver");
 
       metrics::TimeSeries ifq{"ifq"};
-      wan.simulation().every(20_ms, [&](sim::Time now) {
-        ifq.record(now, static_cast<double>(wan.nic().occupancy_packets()));
+      wan->simulation().every(20_ms, [&](sim::Time now) {
+        ifq.record(now, static_cast<double>(nic.occupancy_packets()));
         return true;
       });
-      wan.run_bulk_transfer(sim::Time::zero(), horizon);
+      wan->start_flow(0, sim::Time::zero());
+      wan->run_until(horizon);
 
-      rows[i] = {wan.goodput_mbps(sim::Time::zero(), horizon),
+      rows[i] = {wan->sender(0).goodput_mbps(sim::Time::zero(), horizon),
                  ifq.time_weighted_mean(10_s, horizon), ifq.max_value(),
-                 static_cast<unsigned long long>(wan.sender().mib().SendStall)};
+                 static_cast<unsigned long long>(wan->sender(0).mib().SendStall)};
     });
 
     metrics::Table table{

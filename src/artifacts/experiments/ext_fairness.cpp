@@ -5,7 +5,7 @@
 // bottleneck): all-Reno, all-RSS, and mixed.
 //
 // Built on the declarative topology API: the dumbbell spec comes from
-// Dumbbell::make_spec, the staggered starts are declared on the FlowSpecs,
+// dumbbell_spec, the staggered starts are declared on the FlowSpecs,
 // and ScenarioBuilder wires it.
 
 #include <memory>
@@ -17,7 +17,7 @@
 #include "metrics/summary.hpp"
 #include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
-#include "scenario/dumbbell.hpp"
+#include "scenario/presets.hpp"
 #include "scenario/sweep.hpp"
 
 namespace rss::artifacts {
@@ -35,7 +35,7 @@ struct Result {
 };
 
 Result run_population(const std::string& label, const scenario::FlowCcFactory& factory) {
-  scenario::Dumbbell::Config cfg;
+  scenario::DumbbellConfig cfg;
   cfg.flows = 4;
   // Paper-era hosts: the access NIC runs at the same 100 Mbit/s as the
   // shared bottleneck, so each flow's startup can stall its *own* IFQ
@@ -43,7 +43,7 @@ Result run_population(const std::string& label, const scenario::FlowCcFactory& f
   // (network congestion).
   cfg.access_rate = net::DataRate::mbps(100);
 
-  scenario::TopologySpec spec = scenario::Dumbbell::make_spec(cfg);
+  scenario::TopologySpec spec = scenario::dumbbell_spec(cfg);
   for (std::size_t i = 0; i < spec.flows.size(); ++i)
     spec.flows[i].start = sim::Time::seconds(static_cast<std::int64_t>(2 * i));
   auto scenario = scenario::ScenarioBuilder{std::move(spec)}.build(factory);

@@ -54,7 +54,7 @@ struct Result {
 /// or fluid background. The foreground goodput is windowed past warmup so
 /// both models are compared in their AIMD steady state.
 Result run_population(std::size_t cross, bool fluid) {
-  scenario::ParkingLot::Config cfg;
+  scenario::ParkingLotConfig cfg;
   cfg.hops = 1;
   cfg.cross_flows_per_hop = cross;
   cfg.hop_delays = {20_ms};
@@ -68,35 +68,36 @@ Result run_population(std::size_t cross, bool fluid) {
   // smallest explicit count; it splits at the 20 ms hop and matches the
   // single-scheduler run byte for byte on this topology.
   cfg.execution.partitions = 2;
-  scenario::ParkingLot lot{cfg, scenario::uniform_cc(scenario::make_reno_factory())};
-  lot.start_all(sim::Time::zero());
+  auto lot = scenario::ScenarioBuilder{scenario::parking_lot_spec(cfg)}.build(
+      scenario::make_reno_factory());
+  for (std::size_t i = 0; i < lot->flow_count(); ++i) lot->start_flow(i, sim::Time::zero());
 
-  lot.scenario().run_until(kWarmup);
-  const std::uint64_t acked0 = lot.scenario().sender(0).mib().ThruBytesAcked;
-  lot.scenario().run_until(kHorizon);
-  const web100::Mib& mib = lot.scenario().sender(0).mib();
+  lot->run_until(kWarmup);
+  const std::uint64_t acked0 = lot->sender(0).mib().ThruBytesAcked;
+  lot->run_until(kHorizon);
+  const web100::Mib& mib = lot->sender(0).mib();
 
   Result r;
   r.cross = cross;
   r.fluid = fluid;
   r.fg_mbps = static_cast<double>(mib.ThruBytesAcked - acked0) * 8.0 /
               (kHorizon - kWarmup).to_seconds() / 1e6;
-  const std::vector<double> goodputs = lot.goodputs_mbps(sim::Time::zero(), kHorizon);
+  const std::vector<double> goodputs = lot->goodputs_mbps(sim::Time::zero(), kHorizon);
   for (std::size_t i = 1; i < goodputs.size(); ++i) r.bg_mbps += goodputs[i];
   r.fg_stalls = mib.SendStall;
   r.fg_retrans = mib.PktsRetrans;
   return r;
 }
 
-/// Flow-observable fingerprint of a fluidized ScaleMesh run: every packet
+/// Flow-observable fingerprint of a fluidized scale-mesh run: every packet
 /// flow's MIB words plus every fluid aggregate's delivered-byte ledger.
 std::vector<std::uint64_t> mesh_fingerprint(std::size_t partitions) {
-  scenario::ScaleMesh::Config cfg;
+  scenario::ScaleMeshConfig cfg;
   cfg.segments = 4;
   cfg.flows_per_segment = 2;
   cfg.cross_flows_per_segment = 1;
   cfg.fluid_local = true;
-  scenario::TopologySpec spec = scenario::ScaleMesh::make_spec(cfg);
+  scenario::TopologySpec spec = scenario::scale_mesh_spec(cfg);
   spec.execution.partitions = partitions;
   auto s = scenario::ScenarioBuilder{spec}.build(scenario::make_reno_factory());
   for (std::size_t i = 0; i < s->flow_count(); ++i) s->start_flow(i, sim::Time::zero());

@@ -17,6 +17,7 @@
 
 #include "artifacts/experiments.hpp"
 #include "metrics/summary.hpp"
+#include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
 #include "scenario/presets.hpp"
 #include "scenario/sweep.hpp"
@@ -36,7 +37,7 @@ struct Result {
 };
 
 Result run_population(const std::string& label, const scenario::CcFactory& e2e_cc) {
-  scenario::ParkingLot::Config cfg;
+  scenario::ParkingLotConfig cfg;
   cfg.hops = 3;
   cfg.cross_flows_per_hop = 1;
   // Heterogeneous per-hop RTTs: the short-, medium- and long-haul segments
@@ -50,22 +51,21 @@ Result run_population(const std::string& label, const scenario::CcFactory& e2e_c
   // Flow 0 (end-to-end) gets the population's algorithm; cross traffic is
   // always standard Reno.
   auto reno = scenario::make_reno_factory();
-  scenario::ParkingLot lot{cfg, [&](std::size_t flow) {
-                             return flow == 0 ? e2e_cc() : reno();
-                           }};
-  lot.start_flow(0, 0_s);
-  for (std::size_t i = 1; i < lot.flow_count(); ++i)
-    lot.start_flow(i, sim::Time::seconds(static_cast<std::int64_t>(i)));
+  auto lot = scenario::ScenarioBuilder{scenario::parking_lot_spec(cfg)}.build(
+      [&](std::size_t flow) { return flow == 0 ? e2e_cc() : reno(); });
+  lot->start_flow(0, 0_s);
+  for (std::size_t i = 1; i < lot->flow_count(); ++i)
+    lot->start_flow(i, sim::Time::seconds(static_cast<std::int64_t>(i)));
 
   const sim::Time horizon = 40_s;
-  lot.simulation().run_until(horizon);
+  lot->run_until(horizon);
 
   Result r;
   r.label = label;
-  r.goodputs = lot.goodputs_mbps(sim::Time::zero(), horizon);
+  r.goodputs = lot->goodputs_mbps(sim::Time::zero(), horizon);
   r.fairness = metrics::jain_fairness(r.goodputs);
   r.total = std::accumulate(r.goodputs.begin(), r.goodputs.end(), 0.0);
-  r.e2e_stalls = lot.end_to_end().mib().SendStall;
+  r.e2e_stalls = lot->sender(0).mib().SendStall;
   return r;
 }
 

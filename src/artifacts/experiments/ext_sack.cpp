@@ -6,9 +6,10 @@
 #include <vector>
 
 #include "artifacts/experiments.hpp"
+#include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
+#include "scenario/presets.hpp"
 #include "scenario/sweep.hpp"
-#include "scenario/wan_path.hpp"
 
 namespace rss::artifacts {
 
@@ -23,24 +24,26 @@ struct Cell {
 };
 
 Cell run_one(bool sack, bool rss, bool burst) {
-  scenario::WanPath::Config cfg;
+  scenario::WanPathConfig cfg;
   cfg.enable_web100 = false;
   cfg.path.ifq_capacity_packets = rss ? 100 : 100000;  // stock path for pure-recovery runs
   cfg.sender.enable_sack = sack;
   cfg.receiver.enable_sack = sack;
-  scenario::WanPath wan{cfg,
-                        rss ? scenario::make_rss_factory() : scenario::make_reno_factory()};
+  auto wan = scenario::ScenarioBuilder{scenario::wan_path_spec(cfg)}.build(
+      rss ? scenario::make_rss_factory() : scenario::make_reno_factory());
+  net::PointToPointLink& link = *wan->device("sender", "receiver").link();
   if (burst) {
-    wan.simulation().at(3_s, [&] { wan.nic().link()->set_loss_rate(0.2, sim::Rng{11}); });
-    wan.simulation().at(3100_ms, [&] { wan.nic().link()->set_loss_rate(0.0, sim::Rng{11}); });
+    wan->simulation().at(3_s, [&] { link.set_loss_rate(0.2, sim::Rng{11}); });
+    wan->simulation().at(3100_ms, [&] { link.set_loss_rate(0.0, sim::Rng{11}); });
   } else {
-    wan.nic().link()->set_loss_rate(0.01, sim::Rng{13});
+    link.set_loss_rate(0.01, sim::Rng{13});
   }
   const sim::Time horizon = 12_s;
-  wan.run_bulk_transfer(sim::Time::zero(), horizon);
-  return {wan.goodput_mbps(sim::Time::zero(), horizon),
-          static_cast<unsigned long long>(wan.sender().mib().PktsRetrans),
-          static_cast<unsigned long long>(wan.sender().mib().Timeouts)};
+  wan->start_flow(0, sim::Time::zero());
+  wan->run_until(horizon);
+  return {wan->sender(0).goodput_mbps(sim::Time::zero(), horizon),
+          static_cast<unsigned long long>(wan->sender(0).mib().PktsRetrans),
+          static_cast<unsigned long long>(wan->sender(0).mib().Timeouts)};
 }
 
 }  // namespace

@@ -23,10 +23,11 @@
 #include "control/plant.hpp"
 #include "control/relay_tuner.hpp"
 #include "control/ziegler_nichols.hpp"
+#include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
+#include "scenario/presets.hpp"
 #include "scenario/sweep.hpp"
 #include "scenario/tuning.hpp"
-#include "scenario/wan_path.hpp"
 
 namespace rss::artifacts {
 
@@ -138,13 +139,15 @@ Experiment make_ext_tuning_experiment() {
       core::RestrictedSlowStart::Options rss_opt;
       rss_opt.gains = {rows[2].kp, rows[2].ti, rows[2].td};
       rss_opt.sample_period = 10_ms;
-      scenario::WanPath::Config cfg;
+      scenario::WanPathConfig cfg;
       cfg.enable_web100 = false;
-      scenario::WanPath wan{cfg, scenario::make_rss_factory(rss_opt)};
-      wan.run_bulk_transfer(0_s, 25_s);
+      auto wan = scenario::ScenarioBuilder{scenario::wan_path_spec(cfg)}.build(
+          scenario::make_rss_factory(rss_opt));
+      wan->start_flow(0, 0_s);
+      wan->run_until(25_s);
       rows[4].found = true;
-      rows[4].goodput = wan.goodput_mbps(0_s, 25_s);
-      rows[4].stalls = static_cast<unsigned long long>(wan.sender().mib().SendStall);
+      rows[4].goodput = wan->sender(0).goodput_mbps(0_s, 25_s);
+      rows[4].stalls = static_cast<unsigned long long>(wan->sender(0).mib().SendStall);
       rows[4].ok = rows[4].goodput > 70.0 && rows[4].stalls == 0;
     }
 

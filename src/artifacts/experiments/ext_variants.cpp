@@ -6,9 +6,10 @@
 #include <vector>
 
 #include "artifacts/experiments.hpp"
+#include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
+#include "scenario/presets.hpp"
 #include "scenario/sweep.hpp"
-#include "scenario/wan_path.hpp"
 
 namespace rss::artifacts {
 
@@ -38,12 +39,14 @@ Experiment make_ext_variants_experiment() {
     std::vector<Row> rows(names.size());
 
     scenario::parallel_sweep(names.size(), [&](std::size_t i) {
-      scenario::WanPath::Config cfg;
+      scenario::WanPathConfig cfg;
       cfg.enable_web100 = false;
-      scenario::WanPath wan{cfg, scenario::factory_by_name(names[i])};
-      wan.run_bulk_transfer(sim::Time::zero(), horizon);
-      const auto& mib = wan.sender().mib();
-      rows[i] = {wan.goodput_mbps(sim::Time::zero(), horizon),
+      auto wan = scenario::ScenarioBuilder{scenario::wan_path_spec(cfg)}.build(
+          scenario::factory_by_name(names[i]));
+      wan->start_flow(0, sim::Time::zero());
+      wan->run_until(horizon);
+      const auto& mib = wan->sender(0).mib();
+      rows[i] = {wan->sender(0).goodput_mbps(sim::Time::zero(), horizon),
                  static_cast<unsigned long long>(mib.SendStall),
                  static_cast<unsigned long long>(mib.FastRetran),
                  static_cast<unsigned long long>(mib.Timeouts),

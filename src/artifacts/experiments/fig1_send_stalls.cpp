@@ -9,9 +9,10 @@
 #include <vector>
 
 #include "artifacts/experiments.hpp"
+#include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
+#include "scenario/presets.hpp"
 #include "scenario/sweep.hpp"
-#include "scenario/wan_path.hpp"
 
 namespace rss::artifacts {
 
@@ -36,25 +37,26 @@ Experiment make_fig1_send_stalls_experiment() {
       variants.push_back(std::move(variant));
     }
 
-    std::vector<std::unique_ptr<scenario::WanPath>> runs(variants.size());
+    std::vector<std::unique_ptr<scenario::Scenario>> runs(variants.size());
     scenario::parallel_sweep(variants.size(), [&](std::size_t i) {
-      scenario::WanPath::Config cfg;
+      scenario::WanPathConfig cfg;
       cfg.web100_poll_period = sample;
       cfg.sender.trace_stalls = true;
-      auto wan = std::make_unique<scenario::WanPath>(cfg, variants[i].factory);
-      wan->run_bulk_transfer(sim::Time::zero(), horizon);
+      auto wan = scenario::ScenarioBuilder{scenario::wan_path_spec(cfg)}.build(variants[i].factory);
+      wan->start_flow(0, sim::Time::zero());
+      wan->run_until(horizon);
       runs[i] = std::move(wan);
     });
 
     metrics::Table table{{"t_s", "standard_tcp_cum_stalls", "restricted_ss_cum_stalls"}};
-    const auto& std_series = runs[0]->agent()->series("SendStall");
-    const auto& rss_series = runs[1]->agent()->series("SendStall");
+    const auto& std_series = runs[0]->agent(0)->series("SendStall");
+    const auto& rss_series = runs[1]->agent(0)->series("SendStall");
     for (sim::Time t = sim::Time::zero(); t <= horizon; t += sample) {
       table.add_row({t.to_seconds(), std_series.value_at(t), rss_series.value_at(t)});
     }
 
-    const auto std_stalls = runs[0]->sender().mib().SendStall;
-    const auto rss_stalls = runs[1]->sender().mib().SendStall;
+    const auto std_stalls = runs[0]->sender(0).mib().SendStall;
+    const auto rss_stalls = runs[1]->sender(0).mib().SendStall;
     ExperimentResult r;
     r.table = std::move(table);
     r.reproduced = std_stalls > 0 && rss_stalls == 0;

@@ -7,9 +7,10 @@
 #include <vector>
 
 #include "artifacts/experiments.hpp"
+#include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
+#include "scenario/presets.hpp"
 #include "scenario/sweep.hpp"
-#include "scenario/wan_path.hpp"
 
 namespace rss::artifacts {
 
@@ -39,14 +40,15 @@ Experiment make_tab1_throughput_experiment() {
     auto variants = scenario::standard_variants();
     std::vector<Row> rows(variants.size());
     scenario::parallel_sweep(variants.size(), [&](std::size_t i) {
-      scenario::WanPath::Config cfg;
+      scenario::WanPathConfig cfg;
       cfg.enable_web100 = false;
-      scenario::WanPath wan{cfg, variants[i].factory};
-      wan.run_bulk_transfer(sim::Time::zero(), horizon);
-      rows[i] = {variants[i].label, wan.goodput_mbps(sim::Time::zero(), horizon),
-                 static_cast<unsigned long long>(wan.sender().mib().SendStall),
-                 static_cast<unsigned long long>(wan.sender().mib().Timeouts),
-                 wan.sender().mib().MaxCwnd / 1460.0};
+      auto wan = scenario::ScenarioBuilder{scenario::wan_path_spec(cfg)}.build(variants[i].factory);
+      wan->start_flow(0, sim::Time::zero());
+      wan->run_until(horizon);
+      rows[i] = {variants[i].label, wan->sender(0).goodput_mbps(sim::Time::zero(), horizon),
+                 static_cast<unsigned long long>(wan->sender(0).mib().SendStall),
+                 static_cast<unsigned long long>(wan->sender(0).mib().Timeouts),
+                 wan->sender(0).mib().MaxCwnd / 1460.0};
     });
 
     const double standard = rows[0].goodput_mbps;

@@ -64,13 +64,10 @@ class PidController {
   void set_integral(double value) { integral_ = value; }
 
   [[nodiscard]] const PidGains& gains() const { return gains_; }
-  void set_gains(PidGains g) { gains_ = g; }
   [[nodiscard]] OutputLimits limits() const { return limits_; }
-  void set_limits(OutputLimits l) { limits_ = l; }
 
   [[nodiscard]] double integral() const { return integral_; }
   [[nodiscard]] double last_output() const { return last_output_; }
-  [[nodiscard]] double last_error() const { return last_error_.value_or(0.0); }
 
  private:
   PidGains gains_{};

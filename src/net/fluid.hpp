@@ -139,7 +139,6 @@ class FluidQueueCoupling {
 
   [[nodiscard]] double backlog_bytes() const { return backlog_bytes_; }
   [[nodiscard]] NetDevice& device() const { return *device_; }
-  [[nodiscard]] std::size_t source_count() const { return sources_.size(); }
 
  private:
   NetDevice* device_;

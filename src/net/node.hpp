@@ -58,8 +58,6 @@ class Node {
   /// the default route (or nothing) would match — forwarding-table
   /// introspection for topology-builder tests and debugging.
   [[nodiscard]] std::optional<std::size_t> route(std::uint32_t dst_node) const;
-  [[nodiscard]] std::optional<std::size_t> default_route() const { return default_route_; }
-  [[nodiscard]] std::size_t route_count() const { return routes_.size(); }
 
   /// Register the handler for packets of a given flow addressed to this
   /// node. A flow may have at most one handler.

@@ -81,7 +81,6 @@ class PacketQueue {
   }
 
   [[nodiscard]] std::size_t virtual_packets() const { return virtual_packets_; }
-  [[nodiscard]] std::size_t virtual_bytes() const { return virtual_bytes_; }
 
   /// DCTCP-style step marking (RFC 8257 §3.1): when non-zero, an ECT packet
   /// admitted while the instantaneous occupancy (real + virtual) is at or

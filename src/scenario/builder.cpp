@@ -83,46 +83,6 @@ struct RouteHop {
 
 // --- ScenarioBuilder ------------------------------------------------------
 
-ScenarioBuilder& ScenarioBuilder::node(std::string name) {
-  spec_.nodes.push_back(std::move(name));
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::link(LinkSpec link) {
-  spec_.links.push_back(std::move(link));
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::duplex_link(std::string a, std::string b,
-                                              net::DataRate rate, sim::Time delay,
-                                              std::size_t ifq_packets) {
-  LinkSpec l;
-  l.a = std::move(a);
-  l.b = std::move(b);
-  l.delay = delay;
-  l.a_dev.rate = rate;
-  l.a_dev.ifq_packets = ifq_packets;
-  l.b_dev.rate = rate;
-  l.b_dev.ifq_packets = ifq_packets;
-  spec_.links.push_back(std::move(l));
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::flow(FlowSpec flow) {
-  spec_.flows.push_back(std::move(flow));
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::seed(std::uint64_t seed) {
-  spec_.seed = seed;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::execution(ExecutionPolicy policy) {
-  spec_.execution = policy;
-  return *this;
-}
-
 std::unique_ptr<Scenario> ScenarioBuilder::build(const FlowCcFactory& cc_factory) const {
   using Code = TopologyError::Code;
   if (!cc_factory)

@@ -142,31 +142,13 @@ class Scenario {
 /// tcp::TcpSender / TcpReceiver instances, installs forwarding tables,
 /// attaches Web100 agents, and schedules spec-declared flow starts.
 ///
-/// Usable either spec-first (construct with a filled TopologySpec — what
-/// the presets do) or fluently:
+/// The spec is the only input — written inline, emitted by a preset
+/// (scenario/presets.hpp) or parsed from a spec file:
 ///
-///     auto scenario = ScenarioBuilder{}
-///                         .node("a").node("b")
-///                         .duplex_link("a", "b", net::DataRate::mbps(100),
-///                                      sim::Time::milliseconds(30), 100)
-///                         .flow({.src = "a", .dst = "b"})
-///                         .build(make_reno_factory());
+///     auto scenario = ScenarioBuilder{wan_path_spec({})}.build(make_reno_factory());
 class ScenarioBuilder {
  public:
-  ScenarioBuilder() = default;
   explicit ScenarioBuilder(TopologySpec spec) : spec_{std::move(spec)} {}
-
-  ScenarioBuilder& node(std::string name);
-  ScenarioBuilder& link(LinkSpec link);
-  /// Symmetric convenience: same rate/IFQ on both endpoint devices.
-  ScenarioBuilder& duplex_link(std::string a, std::string b, net::DataRate rate,
-                               sim::Time delay, std::size_t ifq_packets);
-  ScenarioBuilder& flow(FlowSpec flow);
-  ScenarioBuilder& seed(std::uint64_t seed);
-  /// Set the full execution policy (partitions, strategy, threads).
-  ScenarioBuilder& execution(ExecutionPolicy policy);
-
-  [[nodiscard]] const TopologySpec& spec() const { return spec_; }
 
   /// Validate and wire. Throws TopologyError on a malformed spec (and on a
   /// null factory).

@@ -1,16 +1,23 @@
 #include "scenario/presets.hpp"
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace rss::scenario {
 
 namespace {
 
+/// Hop delay of the parking lot and the chain when `hop_delays` is empty.
+constexpr sim::Time kDefaultHopDelay = sim::Time::milliseconds(10);
+/// Scale-mesh trunk: the partition cut, so its delay is the lookahead window.
+constexpr net::DataRate kTrunkRate = net::DataRate::gbps(10);
+constexpr sim::Time kTrunkDelay = sim::Time::milliseconds(10);
+
 [[nodiscard]] std::vector<sim::Time> resolve_hop_delays(const std::vector<sim::Time>& given,
                                                         std::size_t hops,
-                                                        sim::Time fallback,
                                                         const char* preset) {
-  if (given.empty()) return std::vector<sim::Time>(hops, fallback);
+  if (given.empty()) return std::vector<sim::Time>(hops, kDefaultHopDelay);
   if (given.size() != hops)
     throw std::invalid_argument(std::string{preset} +
                                 ": hop_delays size must match the hop count");
@@ -23,12 +30,103 @@ namespace {
 
 }  // namespace
 
+// --- WAN path -------------------------------------------------------------
+
+TopologySpec wan_path_spec(const WanPathConfig& config) {
+  TopologySpec spec;
+  spec.seed = config.seed;
+  spec.execution = config.execution;
+  spec.nodes = {"sender", "receiver"};
+
+  LinkSpec wan;
+  wan.a = "sender";
+  wan.b = "receiver";
+  wan.delay = config.path.one_way_delay;
+  wan.a_dev.rate = config.path.nic_rate;
+  wan.a_dev.ifq_packets = config.path.ifq_capacity_packets;
+  wan.a_dev.name = "sender/nic";
+  wan.b_dev.rate = config.path.wan_rate;
+  wan.b_dev.ifq_packets = config.receiver_ifq_packets;
+  wan.b_dev.name = "receiver/nic";
+  spec.links.push_back(std::move(wan));
+
+  FlowSpec flow;
+  flow.src = "sender";
+  flow.dst = "receiver";
+  flow.flow_id = config.flow_id;
+  flow.sender = config.sender;
+  flow.sender.mss = config.path.mss;
+  flow.receiver = config.receiver;
+  flow.web100 = config.enable_web100;
+  flow.web100_poll_period = config.web100_poll_period;
+  spec.flows.push_back(std::move(flow));
+  return spec;
+}
+
+// --- Dumbbell -------------------------------------------------------------
+
+TopologySpec dumbbell_spec(const DumbbellConfig& config) {
+  if (config.flows == 0) throw std::invalid_argument("dumbbell_spec: need at least one flow");
+
+  TopologySpec spec;
+  spec.seed = config.seed;
+  spec.execution = config.execution;
+
+  spec.nodes = {"routerL", "routerR"};
+  for (std::size_t i = 0; i < config.flows; ++i) {
+    spec.nodes.push_back("sender" + std::to_string(i));
+    spec.nodes.push_back("receiver" + std::to_string(i));
+  }
+
+  // Shared bottleneck L <-> R. The router queue is where network
+  // congestion happens in this topology.
+  LinkSpec bottleneck;
+  bottleneck.a = "routerL";
+  bottleneck.b = "routerR";
+  bottleneck.delay = config.bottleneck_delay;
+  bottleneck.a_dev = {.rate = config.bottleneck_rate,
+                      .ifq_packets = config.router_queue_packets,
+                      .name = "routerL/bottleneck"};
+  bottleneck.b_dev = {.rate = config.bottleneck_rate,
+                      .ifq_packets = config.router_queue_packets,
+                      .name = "routerR/bottleneck"};
+  spec.links.push_back(std::move(bottleneck));
+
+  for (std::size_t i = 0; i < config.flows; ++i) {
+    // Sender access: host NIC (finite IFQ: local stalls possible) <-> router L.
+    LinkSpec access;
+    access.a = "sender" + std::to_string(i);
+    access.b = "routerL";
+    access.delay = config.access_delay;
+    access.a_dev = {config.access_rate, config.sender_ifq_packets};
+    access.b_dev = {config.access_rate, 1000};
+    spec.links.push_back(std::move(access));
+
+    // Receiver access: router R <-> receiver NIC.
+    LinkSpec egress;
+    egress.a = "routerR";
+    egress.b = "receiver" + std::to_string(i);
+    egress.delay = config.access_delay;
+    egress.a_dev = {config.access_rate, 1000};
+    egress.b_dev = {config.access_rate, 1000};
+    spec.links.push_back(std::move(egress));
+
+    FlowSpec flow;
+    flow.src = "sender" + std::to_string(i);
+    flow.dst = "receiver" + std::to_string(i);
+    flow.sender = config.sender;
+    flow.sender.mss = config.mss;
+    flow.receiver = config.receiver;
+    spec.flows.push_back(std::move(flow));
+  }
+  return spec;
+}
+
 // --- ParkingLot -----------------------------------------------------------
 
-TopologySpec ParkingLot::make_spec(const Config& config) {
-  if (config.hops == 0) throw std::invalid_argument("ParkingLot: need at least one hop");
-  const auto hop_delays = resolve_hop_delays(config.hop_delays, config.hops,
-                                             config.default_hop_delay, "ParkingLot");
+TopologySpec parking_lot_spec(const ParkingLotConfig& config) {
+  if (config.hops == 0) throw std::invalid_argument("parking_lot_spec: need at least one hop");
+  const auto hop_delays = resolve_hop_delays(config.hop_delays, config.hops, "parking_lot_spec");
 
   TopologySpec spec;
   spec.seed = config.seed;
@@ -84,7 +182,6 @@ TopologySpec ParkingLot::make_spec(const Config& config) {
     flow.dst = dst;
     if (cross && config.fluid_cross) {
       flow.model = TrafficModel::kFluid;
-      flow.fluid = config.fluid_options;
     } else {
       flow.sender = config.sender;
       flow.sender.mss = config.mss;
@@ -103,32 +200,16 @@ TopologySpec ParkingLot::make_spec(const Config& config) {
   return spec;
 }
 
-ParkingLot::ParkingLot(Config config, const FlowCcFactory& cc_factory)
-    : cfg_{std::move(config)} {
-  if (!cc_factory)
-    throw std::invalid_argument("ParkingLot: null congestion-control factory");
-  scenario_ = ScenarioBuilder{make_spec(cfg_)}.build(cc_factory);
-}
-
-void ParkingLot::start_all(sim::Time start) {
-  for (std::size_t i = 0; i < scenario_->flow_count(); ++i) scenario_->start_flow(i, start);
-}
-
-net::NetDevice& ParkingLot::bottleneck(std::size_t hop) {
-  return scenario_->device(router_name(hop), router_name(hop + 1));
-}
-
 // --- MultiBottleneckChain -------------------------------------------------
 
-TopologySpec MultiBottleneckChain::make_spec(const Config& config) {
+TopologySpec multi_bottleneck_chain_spec(const MultiBottleneckChainConfig& config) {
   if (config.hop_rates.empty())
-    throw std::invalid_argument("MultiBottleneckChain: need at least one hop rate");
+    throw std::invalid_argument("multi_bottleneck_chain_spec: need at least one hop rate");
   if (config.flows == 0)
-    throw std::invalid_argument("MultiBottleneckChain: need at least one flow");
+    throw std::invalid_argument("multi_bottleneck_chain_spec: need at least one flow");
   const std::size_t hops = config.hop_rates.size();
-  const auto hop_delays = resolve_hop_delays(config.hop_delays, hops,
-                                             config.default_hop_delay,
-                                             "MultiBottleneckChain");
+  const auto hop_delays =
+      resolve_hop_delays(config.hop_delays, hops, "multi_bottleneck_chain_spec");
 
   TopologySpec spec;
   spec.seed = config.seed;
@@ -183,30 +264,13 @@ TopologySpec MultiBottleneckChain::make_spec(const Config& config) {
   return spec;
 }
 
-MultiBottleneckChain::MultiBottleneckChain(Config config, const FlowCcFactory& cc_factory)
-    : cfg_{std::move(config)} {
-  if (!cc_factory)
-    throw std::invalid_argument("MultiBottleneckChain: null congestion-control factory");
-  scenario_ = ScenarioBuilder{make_spec(cfg_)}.build(cc_factory);
-}
-
-net::NetDevice& MultiBottleneckChain::bottleneck(std::size_t hop) {
-  return scenario_->device(router_name(hop), router_name(hop + 1));
-}
-
-std::size_t MultiBottleneckChain::flow_hops(std::size_t i) const {
-  return cfg_.hop_rates.size() - (i % cfg_.hop_rates.size());
-}
-
 // --- ScaleMesh ------------------------------------------------------------
 
-TopologySpec ScaleMesh::make_spec(const Config& config) {
+TopologySpec scale_mesh_spec(const ScaleMeshConfig& config) {
   if (config.segments == 0)
-    throw std::invalid_argument("ScaleMesh: need at least one segment");
+    throw std::invalid_argument("scale_mesh_spec: need at least one segment");
   if (config.flows_per_segment == 0)
-    throw std::invalid_argument("ScaleMesh: need at least one flow per segment");
-  if (config.segments > 1 && config.inter_delay < sim::Time::nanoseconds(1))
-    throw std::invalid_argument("ScaleMesh: inter_delay must be >= 1ns (lookahead bound)");
+    throw std::invalid_argument("scale_mesh_spec: need at least one flow per segment");
 
   TopologySpec spec;
   spec.seed = config.seed;
@@ -251,17 +315,17 @@ TopologySpec ScaleMesh::make_spec(const Config& config) {
     spec.links.push_back(std::move(out));
 
     // Trunk to the next segment: the largest delay in the topology, so
-    // latency-guided partitioning cuts here and inter_delay becomes the
+    // latency-guided partitioning cuts here and the trunk delay becomes the
     // engine's lookahead window.
     if (i + 1 < config.segments) {
       LinkSpec trunk;
       trunk.a = seg("rR", i);
       trunk.b = seg("rL", i + 1);
-      trunk.delay = config.inter_delay;
-      trunk.a_dev = {.rate = config.trunk_rate,
+      trunk.delay = kTrunkDelay;
+      trunk.a_dev = {.rate = kTrunkRate,
                      .ifq_packets = config.router_queue_packets,
                      .name = "trunk" + std::to_string(i)};
-      trunk.b_dev = {config.trunk_rate, config.router_queue_packets};
+      trunk.b_dev = {kTrunkRate, config.router_queue_packets};
       spec.links.push_back(std::move(trunk));
     }
   }
@@ -270,10 +334,8 @@ TopologySpec ScaleMesh::make_spec(const Config& config) {
     FlowSpec flow;
     flow.src = src;
     flow.dst = dst;
-    flow.start = config.start_all;
     if (local && config.fluid_local) {
       flow.model = TrafficModel::kFluid;
-      flow.fluid = config.fluid_options;
     } else {
       flow.sender = config.sender;
       flow.sender.mss = config.mss;
@@ -282,8 +344,7 @@ TopologySpec ScaleMesh::make_spec(const Config& config) {
     spec.flows.push_back(std::move(flow));
   };
 
-  // Local flows first (segment-major), then cross flows (trunk-major) —
-  // the index math in local_flow()/cross_flow() depends on this order.
+  // Local flows first (segment-major), then cross flows (trunk-major).
   for (std::size_t i = 0; i < config.segments; ++i)
     for (std::size_t k = 0; k < config.flows_per_segment; ++k)
       add_flow(seg("hL", i), seg("hR", i), true);
@@ -291,18 +352,6 @@ TopologySpec ScaleMesh::make_spec(const Config& config) {
     for (std::size_t k = 0; k < config.cross_flows_per_segment; ++k)
       add_flow(seg("hL", i), seg("hR", i + 1), false);
   return spec;
-}
-
-ScaleMesh::ScaleMesh(Config config, const FlowCcFactory& cc_factory)
-    : cfg_{std::move(config)} {
-  if (!cc_factory)
-    throw std::invalid_argument("ScaleMesh: null congestion-control factory");
-  scenario_ = ScenarioBuilder{make_spec(cfg_)}.build(cc_factory);
-}
-
-net::NetDevice& ScaleMesh::bottleneck(std::size_t segment) {
-  return scenario_->device("rL" + std::to_string(segment),
-                           "rR" + std::to_string(segment));
 }
 
 }  // namespace rss::scenario

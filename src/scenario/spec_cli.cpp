@@ -10,10 +10,8 @@
 
 #include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
-#include "scenario/dumbbell.hpp"
 #include "scenario/presets.hpp"
 #include "scenario/sweep.hpp"
-#include "scenario/wan_path.hpp"
 #include "web100/mib.hpp"
 
 namespace rss::scenario::spec {
@@ -196,37 +194,37 @@ ScenarioSpec preset_spec(const std::string& name) {
   ScenarioSpec spec;
   spec.name = name;
   if (name == "wanpath") {
-    spec.topology = WanPath::make_spec(WanPath::Config{});
+    spec.topology = wan_path_spec({});
   } else if (name == "dumbbell") {
-    spec.topology = Dumbbell::make_spec(Dumbbell::Config{});
+    spec.topology = dumbbell_spec({});
   } else if (name == "parkinglot") {
-    spec.topology = ParkingLot::make_spec(ParkingLot::Config{});
+    spec.topology = parking_lot_spec({});
   } else if (name == "chain") {
-    spec.topology = MultiBottleneckChain::make_spec(MultiBottleneckChain::Config{});
+    spec.topology = multi_bottleneck_chain_spec({});
   } else if (name == "scale") {
-    // The reduced bench configuration: the full ScaleMesh default is a
+    // The reduced bench configuration: the full scale-mesh default is a
     // 100k-flow workload, far too heavy for an emittable/round-trippable
     // preset. Partitioned by default — the round-trip fingerprint therefore
     // also exercises build-and-run through the partitioned engine.
-    ScaleMesh::Config cfg;
+    ScaleMeshConfig cfg;
     cfg.segments = 4;
     cfg.flows_per_segment = 8;
     cfg.cross_flows_per_segment = 2;
     cfg.execution.partitions = 4;
-    spec.topology = ScaleMesh::make_spec(cfg);
+    spec.topology = scale_mesh_spec(cfg);
   } else if (name == "scale_fluid") {
     // The hybrid configuration of the scale preset: segment-local flows are
     // fluid aggregates (trunk cross traffic stays packet), still across 4
     // partitions. Round-tripping it pins the fluid flow-spec serialization,
     // and running it under --jobs exercises partition-local fluid ticks on
     // the threaded engine.
-    ScaleMesh::Config cfg;
+    ScaleMeshConfig cfg;
     cfg.segments = 4;
     cfg.flows_per_segment = 8;
     cfg.cross_flows_per_segment = 2;
     cfg.fluid_local = true;
     cfg.execution.partitions = 4;
-    spec.topology = ScaleMesh::make_spec(cfg);
+    spec.topology = scale_mesh_spec(cfg);
   } else {
     throw std::invalid_argument(
         "unknown preset: " + name +

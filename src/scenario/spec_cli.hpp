@@ -49,11 +49,11 @@ namespace rss::scenario::spec {
                                            const ExecFlags& exec);
 [[nodiscard]] metrics::Table run_spec_file(const std::string& path, const ExecFlags& exec);
 
-/// The C++ topology presets as scenario specs with Reno on every flow:
-/// "wanpath", "dumbbell", "parkinglot", "chain" carry their default Config;
-/// "scale" carries the reduced bench configuration of ScaleMesh (the full
-/// default is a 100k-flow workload). Throws std::invalid_argument on an
-/// unknown name.
+/// The C++ topology presets (scenario/presets.hpp) as scenario specs with
+/// Reno on every flow: "wanpath", "dumbbell", "parkinglot", "chain" emit
+/// their default config; "scale" and "scale_fluid" emit a reduced
+/// 4-segment scale mesh, packet and fluid-local (the full default is a
+/// 100k-flow workload). Throws std::invalid_argument on an unknown name.
 [[nodiscard]] ScenarioSpec preset_spec(const std::string& name);
 [[nodiscard]] std::vector<std::string> preset_names();
 

@@ -829,6 +829,15 @@ JsonValue write_object(const S& s) {
   return out;
 }
 
+/// A value the field's type admits but its consumer's constructor rejects.
+/// `key` may be absent (a default that conflicts with a given sibling);
+/// the error then points at the enclosing object.
+[[noreturn]] void bad_field(const JsonValue& v, const Where& at, std::string_view key,
+                            const std::string& msg) {
+  const JsonValue* x = v.find(key);
+  fail(SpecError::Code::kBadValue, at / key, x ? x->line : v.line, msg);
+}
+
 void erase_key(JsonValue& object, std::string_view key) {
   std::erase_if(object.object, [key](const auto& member) { return member.first == key; });
 }
@@ -878,6 +887,13 @@ struct Schema<net::RedQueue::Options> {
       field<S, &S::max_drop_probability>("max_drop_probability"),
       field<S, &S::queue_weight>("queue_weight"),
   };
+  static void check(const S& r, const JsonValue& v, const Where& at) {
+    if (!(r.min_threshold < r.max_threshold))
+      bad_field(v, at, v.find("min_threshold") ? "min_threshold" : "max_threshold",
+                "min_threshold must be < max_threshold");
+    if (r.queue_weight <= 0.0 || r.queue_weight > 1.0)
+      bad_field(v, at, "queue_weight", "queue_weight must be in (0, 1]");
+  }
 };
 
 template <>
@@ -887,6 +903,10 @@ struct Schema<net::CodelQueue::Options> {
       field<S, &S::target>("target"),
       field<S, &S::interval>("interval"),
   };
+  static void check(const S& c, const JsonValue& v, const Where& at) {
+    if (c.target <= sim::Time::zero()) bad_field(v, at, "target", "target must be > 0");
+    if (c.interval <= sim::Time::zero()) bad_field(v, at, "interval", "interval must be > 0");
+  }
 };
 
 template <>
@@ -985,9 +1005,9 @@ struct Schema<net::FluidOptions> {
       field<S, &S::decrease>("decrease"),
   };
   static void check(const S& o, const JsonValue& v, const Where& at) {
+    if (o.stride <= sim::Time::zero()) bad_field(v, at, "stride", "stride must be > 0");
     if (o.decrease <= 0.0 || o.decrease >= 1.0)
-      fail(SpecError::Code::kBadValue, at / "decrease", v.find("decrease")->line,
-           "decrease factor must be in (0, 1)");
+      bad_field(v, at, "decrease", "decrease factor must be in (0, 1)");
   }
 };
 

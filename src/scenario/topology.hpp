@@ -114,8 +114,9 @@ struct FlowSpec {
 };
 
 /// A network described as data: nodes, duplex links, flows. Build it with
-/// ScenarioBuilder; the presets (WanPath, Dumbbell, ParkingLot,
-/// MultiBottleneckChain) are thin emitters of this struct.
+/// ScenarioBuilder; the presets in scenario/presets.hpp (wan_path_spec,
+/// dumbbell_spec, parking_lot_spec, multi_bottleneck_chain_spec,
+/// scale_mesh_spec) are functions that emit this struct.
 struct TopologySpec {
   std::vector<std::string> nodes;
   std::vector<LinkSpec> links;

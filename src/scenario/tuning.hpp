@@ -11,9 +11,9 @@ namespace rss::scenario {
 /// Simulation-in-the-loop Ziegler–Nichols tuning of Restricted Slow-Start
 /// (the paper's §3 procedure, automated end-to-end):
 ///
-/// For each candidate proportional gain the harness builds a fresh WanPath,
-/// runs RSS with P-only control and symmetric ±1 MSS/ACK authority, and
-/// records the IFQ occupancy every `sample_period`. The
+/// For each candidate proportional gain the harness builds a fresh WAN path
+/// from wan_path_spec, runs RSS with P-only control and symmetric ±1
+/// MSS/ACK authority, and records the IFQ occupancy every `sample_period`. The
 /// ZieglerNicholsTuner ramps/bisects the gain until the occupancy limit-
 /// cycles around the set point, yielding (Kc, Tc); the paper rule
 /// Kp = 0.33·Kc, Ti = 0.5·Tc, Td = 0.33·Tc turns that into deployable

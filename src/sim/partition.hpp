@@ -151,9 +151,6 @@ class alignas(64) HandoffChannel {
   [[nodiscard]] const std::vector<StagedHandoff>& staged() const { return staged_; }
   void clear() { staged_.clear(); }
 
-  /// Total handoffs ever staged (monotone; read between runs).
-  [[nodiscard]] std::uint64_t total_staged() const { return next_seq_; }
-
  private:
   static constexpr std::size_t kInitialCapacity = 256;
 

@@ -31,22 +31,14 @@ class Simulation {
   [[nodiscard]] Rng& rng() { return rng_; }
 
   EventId at(Time t, Scheduler::Callback cb) { return scheduler_.schedule_at(t, std::move(cb)); }
-  /// Schedule with an explicit birth time for the same-timestamp tie-break
-  /// (see Scheduler::schedule_at_from). Used by cross-partition drains.
-  EventId at_from(Time birth, Time t, Scheduler::Callback cb) {
-    return scheduler_.schedule_at_from(birth, t, std::move(cb));
-  }
   EventId in(Time delay, Scheduler::Callback cb) {
     return scheduler_.schedule_in(delay, std::move(cb));
   }
   /// Origin-ranked scheduling: same-(at, birth) ties resolve by the node
   /// label `origin` and its private rank counter instead of global insertion
-  /// order (see Scheduler::schedule_at_ranked). Links use the sender
+  /// order (see Scheduler::schedule_in_ranked). Links use the sender
   /// device's origin so pop order is intrinsic to the topology, not to
   /// which scheduler an event was inserted into.
-  EventId at_ranked(std::uint32_t origin, Time t, Scheduler::Callback cb) {
-    return scheduler_.schedule_at_ranked(origin, t, std::move(cb));
-  }
   EventId in_ranked(std::uint32_t origin, Time delay, Scheduler::Callback cb) {
     return scheduler_.schedule_in_ranked(origin, delay, std::move(cb));
   }

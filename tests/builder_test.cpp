@@ -7,10 +7,8 @@
 #include "net/queue.hpp"
 #include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
-#include "scenario/dumbbell.hpp"
 #include "scenario/presets.hpp"
 #include "scenario/topology.hpp"
-#include "scenario/wan_path.hpp"
 
 namespace rss::scenario {
 namespace {
@@ -187,13 +185,13 @@ TEST(ScenarioBuilderTest, InstallsRoutesOnNodes) {
 
 // --- scenario handle ------------------------------------------------------
 
-TEST(ScenarioTest, FluentBuilderRunsATransfer) {
-  auto scenario = ScenarioBuilder{}
-                      .node("a")
-                      .node("b")
-                      .duplex_link("a", "b", net::DataRate::mbps(100), 30_ms, 100)
-                      .flow({.src = "a", .dst = "b", .start = 0_s})
-                      .build(make_reno_factory());
+TEST(ScenarioTest, SpecLiteralRunsATransfer) {
+  const DeviceSpec nic{.rate = net::DataRate::mbps(100), .ifq_packets = 100};
+  auto scenario =
+      ScenarioBuilder{{.nodes = {"a", "b"},
+                       .links = {{.a = "a", .b = "b", .delay = 30_ms, .a_dev = nic, .b_dev = nic}},
+                       .flows = {{.src = "a", .dst = "b", .start = 0_s}}}}
+          .build(make_reno_factory());
   scenario->run_until(3_s);
   EXPECT_GT(scenario->sender(0).bytes_acked(), 0u);
   EXPECT_GT(scenario->goodputs_mbps(0_s, 3_s).at(0), 1.0);
@@ -215,8 +213,8 @@ TEST(ScenarioTest, RedQueueDisciplineIsHonoured) {
 
 // --- preset parity with the pre-redesign hand-wired classes ---------------
 
-/// Byte-for-byte replica of the original hand-wired WanPath constructor
-/// (pre-builder), kept as the parity baseline.
+/// Byte-for-byte replica of the original hand-wired WAN path (pre-builder),
+/// kept as the parity baseline.
 struct HandWiredWanPath {
   sim::Simulation sim;
   std::unique_ptr<net::Node> sender_node;
@@ -226,7 +224,7 @@ struct HandWiredWanPath {
   std::unique_ptr<tcp::TcpReceiver> receiver;
   std::unique_ptr<tcp::TcpSender> sender;
 
-  explicit HandWiredWanPath(const WanPath::Config& cfg) : sim{cfg.seed} {
+  explicit HandWiredWanPath(const WanPathConfig& cfg) : sim{cfg.seed} {
     sender_node = std::make_unique<net::Node>(sim, 1, "sender");
     receiver_node = std::make_unique<net::Node>(sim, 2, "receiver");
     nic = &sender_node->add_device(
@@ -255,25 +253,27 @@ struct HandWiredWanPath {
 };
 
 TEST(PresetParityTest, WanPathMatchesHandWiredOriginal) {
-  WanPath::Config cfg;
+  WanPathConfig cfg;
   cfg.enable_web100 = false;  // the replica has no agent; polling doesn't alter dynamics
 
   HandWiredWanPath original{cfg};
   original.sim.at(0_s, [&] { original.sender->set_unlimited(true); });
   original.sim.run_until(5_s);
 
-  WanPath preset{cfg, make_reno_factory()};
-  preset.run_bulk_transfer(0_s, 5_s);
+  auto preset = ScenarioBuilder{wan_path_spec(cfg)}.build(make_reno_factory());
+  preset->start_flow(0, 0_s);
+  preset->run_until(5_s);
 
-  EXPECT_EQ(preset.sender().bytes_acked(), original.sender->bytes_acked());
-  EXPECT_EQ(preset.sender().bytes_sent(), original.sender->bytes_sent());
-  EXPECT_EQ(preset.sender().mib().SendStall, original.sender->mib().SendStall);
-  EXPECT_EQ(preset.nic().stats().tx_packets, original.nic->stats().tx_packets);
-  EXPECT_EQ(preset.goodput_mbps(0_s, 5_s), original.sender->goodput_mbps(0_s, 5_s));
-  EXPECT_GT(preset.sender().bytes_acked(), 0u);
+  EXPECT_EQ(preset->sender(0).bytes_acked(), original.sender->bytes_acked());
+  EXPECT_EQ(preset->sender(0).bytes_sent(), original.sender->bytes_sent());
+  EXPECT_EQ(preset->sender(0).mib().SendStall, original.sender->mib().SendStall);
+  EXPECT_EQ(preset->device("sender", "receiver").stats().tx_packets,
+            original.nic->stats().tx_packets);
+  EXPECT_EQ(preset->sender(0).goodput_mbps(0_s, 5_s), original.sender->goodput_mbps(0_s, 5_s));
+  EXPECT_GT(preset->sender(0).bytes_acked(), 0u);
 }
 
-/// Replica of the original hand-wired Dumbbell (pre-builder).
+/// Replica of the original hand-wired dumbbell (pre-builder).
 struct HandWiredDumbbell {
   sim::Simulation sim;
   std::vector<std::unique_ptr<net::Node>> sender_nodes;
@@ -285,7 +285,7 @@ struct HandWiredDumbbell {
   std::vector<std::unique_ptr<tcp::TcpSender>> senders;
   std::vector<std::unique_ptr<tcp::TcpReceiver>> receivers;
 
-  explicit HandWiredDumbbell(const Dumbbell::Config& cfg) : sim{cfg.seed} {
+  explicit HandWiredDumbbell(const DumbbellConfig& cfg) : sim{cfg.seed} {
     const auto sender_id = [](std::size_t i) { return 10 + static_cast<std::uint32_t>(i); };
     const auto receiver_id = [](std::size_t i) {
       return 1000 + static_cast<std::uint32_t>(i);
@@ -347,7 +347,7 @@ struct HandWiredDumbbell {
 };
 
 TEST(PresetParityTest, DumbbellMatchesHandWiredOriginal) {
-  Dumbbell::Config cfg;
+  DumbbellConfig cfg;
   cfg.flows = 3;
   cfg.router_queue_packets = 50;  // force router-queue contention too
 
@@ -359,23 +359,23 @@ TEST(PresetParityTest, DumbbellMatchesHandWiredOriginal) {
   }
   original.sim.run_until(10_s);
 
-  Dumbbell preset{cfg, uniform_cc(make_reno_factory())};
+  auto preset = ScenarioBuilder{dumbbell_spec(cfg)}.build(make_reno_factory());
   for (std::size_t i = 0; i < cfg.flows; ++i)
-    preset.start_flow(i, sim::Time::milliseconds(static_cast<std::int64_t>(100 * i)));
-  preset.simulation().run_until(10_s);
+    preset->start_flow(i, sim::Time::milliseconds(static_cast<std::int64_t>(100 * i)));
+  preset->run_until(10_s);
 
   for (std::size_t i = 0; i < cfg.flows; ++i) {
-    EXPECT_EQ(preset.sender(i).bytes_acked(), original.senders[i]->bytes_acked())
+    EXPECT_EQ(preset->sender(i).bytes_acked(), original.senders[i]->bytes_acked())
         << "flow " << i;
-    EXPECT_EQ(preset.sender(i).mib().SendStall, original.senders[i]->mib().SendStall)
+    EXPECT_EQ(preset->sender(i).mib().SendStall, original.senders[i]->mib().SendStall)
         << "flow " << i;
-    EXPECT_EQ(preset.sender(i).mib().FastRetran, original.senders[i]->mib().FastRetran)
+    EXPECT_EQ(preset->sender(i).mib().FastRetran, original.senders[i]->mib().FastRetran)
         << "flow " << i;
-    EXPECT_GT(preset.sender(i).bytes_acked(), 0u);
+    EXPECT_GT(preset->sender(i).bytes_acked(), 0u);
   }
-  EXPECT_EQ(preset.bottleneck().ifq().stats().dropped,
+  EXPECT_EQ(preset->device("routerL", "routerR").ifq().stats().dropped,
             original.bottleneck->ifq().stats().dropped);
-  EXPECT_EQ(preset.goodputs_mbps(0_s, 10_s),
+  EXPECT_EQ(preset->goodputs_mbps(0_s, 10_s),
             [&] {
               std::vector<double> g;
               for (const auto& s : original.senders) g.push_back(s->goodput_mbps(0_s, 10_s));
@@ -386,49 +386,59 @@ TEST(PresetParityTest, DumbbellMatchesHandWiredOriginal) {
 // --- new presets ----------------------------------------------------------
 
 TEST(ParkingLotTest, CrossTrafficLoadsEveryHop) {
-  ParkingLot::Config cfg;
+  ParkingLotConfig cfg;
   cfg.hops = 3;
   cfg.hop_delays = {2_ms, 8_ms, 20_ms};  // heterogeneous RTTs
-  ParkingLot lot{cfg, uniform_cc(make_reno_factory())};
-  EXPECT_EQ(lot.flow_count(), 4u);  // 1 end-to-end + 3 cross
-  lot.start_all(0_s);
-  lot.simulation().run_until(8_s);
+  auto lot = ScenarioBuilder{parking_lot_spec(cfg)}.build(make_reno_factory());
+  EXPECT_EQ(lot->flow_count(), 4u);  // 1 end-to-end + 3 cross
+  for (std::size_t i = 0; i < lot->flow_count(); ++i) lot->start_flow(i, 0_s);
+  lot->run_until(8_s);
 
-  const auto goodputs = lot.goodputs_mbps(0_s, 8_s);
+  const auto goodputs = lot->goodputs_mbps(0_s, 8_s);
   for (std::size_t i = 0; i < goodputs.size(); ++i)
     EXPECT_GT(goodputs[i], 1.0) << "flow " << i;
+  const auto router = [](std::size_t r) { return "r" + std::to_string(r); };
   for (std::size_t h = 0; h < cfg.hops; ++h) {
-    EXPECT_EQ(lot.bottleneck(h).rate(), cfg.bottleneck_rate);
-    EXPECT_GT(lot.bottleneck(h).stats().tx_packets, 0u) << "hop " << h;
+    const net::NetDevice& hop = lot->device(router(h), router(h + 1));
+    EXPECT_EQ(hop.rate(), cfg.bottleneck_rate);
+    EXPECT_GT(hop.stats().tx_packets, 0u) << "hop " << h;
   }
   // The end-to-end flow really crosses every hop: its packets transit all
   // intermediate routers.
   for (std::size_t r = 1; r < cfg.hops; ++r)
-    EXPECT_GT(lot.router(r).forwarded_packets(), 0u);
+    EXPECT_GT(lot->node(router(r)).forwarded_packets(), 0u);
 }
 
 TEST(ParkingLotTest, ValidatesConfig) {
-  ParkingLot::Config cfg;
+  ParkingLotConfig cfg;
   cfg.hops = 0;
-  EXPECT_THROW((ParkingLot{cfg, uniform_cc(make_reno_factory())}), std::invalid_argument);
+  EXPECT_THROW((void)parking_lot_spec(cfg), std::invalid_argument);
   cfg.hops = 2;
   cfg.hop_delays = {1_ms};  // wrong size
-  EXPECT_THROW((ParkingLot{cfg, uniform_cc(make_reno_factory())}), std::invalid_argument);
+  EXPECT_THROW((void)parking_lot_spec(cfg), std::invalid_argument);
 }
 
 TEST(MultiBottleneckChainTest, StaggeredEntryGivesHeterogeneousPaths) {
-  MultiBottleneckChain::Config cfg;
+  MultiBottleneckChainConfig cfg;
   cfg.flows = 3;
   cfg.hop_rates = {net::DataRate::mbps(100), net::DataRate::mbps(60),
                    net::DataRate::mbps(40)};
-  MultiBottleneckChain chain{cfg, uniform_cc(make_reno_factory())};
-  EXPECT_EQ(chain.flow_hops(0), 3u);
-  EXPECT_EQ(chain.flow_hops(1), 2u);
-  EXPECT_EQ(chain.flow_hops(2), 1u);
-  for (std::size_t i = 0; i < cfg.flows; ++i) chain.start_flow(i, 0_s);
-  chain.simulation().run_until(8_s);
+  auto chain = ScenarioBuilder{multi_bottleneck_chain_spec(cfg)}.build(make_reno_factory());
+  // Router hops of flow i's built route: s<i> -> ... -> d<i> minus the two
+  // access links.
+  const auto router_hops = [&](std::size_t i) {
+    const TopologySpec& spec = chain->spec();
+    return chain->routes().hops(*node_index(spec, "s" + std::to_string(i)),
+                                *node_index(spec, "d" + std::to_string(i))) -
+           2;
+  };
+  EXPECT_EQ(router_hops(0), 3u);
+  EXPECT_EQ(router_hops(1), 2u);
+  EXPECT_EQ(router_hops(2), 1u);
+  for (std::size_t i = 0; i < cfg.flows; ++i) chain->start_flow(i, 0_s);
+  chain->run_until(8_s);
 
-  const auto goodputs = chain.goodputs_mbps(0_s, 8_s);
+  const auto goodputs = chain->goodputs_mbps(0_s, 8_s);
   double total = 0;
   for (std::size_t i = 0; i < goodputs.size(); ++i) {
     EXPECT_GT(goodputs[i], 1.0) << "flow " << i;
@@ -436,7 +446,7 @@ TEST(MultiBottleneckChainTest, StaggeredEntryGivesHeterogeneousPaths) {
   }
   // Everything funnels through the last (40 Mbit/s) hop.
   EXPECT_LE(total, 40.0 + 1.0);
-  EXPECT_EQ(chain.bottleneck(2).rate(), net::DataRate::mbps(40));
+  EXPECT_EQ(chain->device("r2", "r3").rate(), net::DataRate::mbps(40));
 }
 
 }  // namespace

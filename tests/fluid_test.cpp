@@ -242,23 +242,24 @@ TEST(FluidIntegrator, StrideRefinementConverges) {
 
 // --- fluid vs packet equivalence ------------------------------------------
 
-/// Foreground goodput (Mbit/s) of ParkingLot flow 0 over the measurement
+/// Foreground goodput (Mbit/s) of parking-lot flow 0 over the measurement
 /// window, with cross traffic either packet or fluid.
 [[nodiscard]] double foreground_goodput(bool fluid_cross, sim::Time warmup,
                                         sim::Time horizon) {
-  scenario::ParkingLot::Config cfg;
+  scenario::ParkingLotConfig cfg;
   cfg.hops = 1;  // single-bottleneck dumbbell
   cfg.cross_flows_per_hop = 5;
   cfg.hop_delays = {20_ms};
   cfg.access_rate = net::DataRate::mbps(100);
   cfg.fluid_cross = fluid_cross;
-  scenario::ParkingLot lot{cfg, scenario::uniform_cc(scenario::make_reno_factory())};
-  lot.start_all(sim::Time::zero());
+  auto lot = scenario::ScenarioBuilder{scenario::parking_lot_spec(cfg)}.build(
+      scenario::make_reno_factory());
+  for (std::size_t i = 0; i < lot->flow_count(); ++i) lot->start_flow(i, sim::Time::zero());
 
-  lot.scenario().run_until(warmup);
-  const std::uint64_t acked0 = lot.scenario().sender(0).mib().ThruBytesAcked;
-  lot.scenario().run_until(horizon);
-  const std::uint64_t acked1 = lot.scenario().sender(0).mib().ThruBytesAcked;
+  lot->run_until(warmup);
+  const std::uint64_t acked0 = lot->sender(0).mib().ThruBytesAcked;
+  lot->run_until(horizon);
+  const std::uint64_t acked1 = lot->sender(0).mib().ThruBytesAcked;
   return static_cast<double>(acked1 - acked0) * 8.0 /
          (horizon - warmup).to_seconds() / 1e6;
 }
@@ -297,12 +298,12 @@ TEST(FluidEquivalence, ForegroundGoodputMatchesAllPacketRun) {
 }
 
 TEST(FluidPartitionParity, FluidTicksDoNotPerturbMergeOrder) {
-  scenario::ScaleMesh::Config cfg;
+  scenario::ScaleMeshConfig cfg;
   cfg.segments = 4;
   cfg.flows_per_segment = 2;
   cfg.cross_flows_per_segment = 1;
   cfg.fluid_local = true;
-  scenario::TopologySpec spec = scenario::ScaleMesh::make_spec(cfg);
+  scenario::TopologySpec spec = scenario::scale_mesh_spec(cfg);
 
   std::vector<std::vector<std::uint64_t>> prints;
   for (const std::size_t partitions : {std::size_t{1}, std::size_t{4}}) {

@@ -4,15 +4,18 @@
 #include <gtest/gtest.h>
 
 #include "core/highspeed_rss.hpp"
+#include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
-#include "scenario/wan_path.hpp"
+#include "scenario/presets.hpp"
 #include "tcp/highspeed.hpp"
 
 namespace rss::tcp {
 namespace {
 
 using namespace rss::sim::literals;
-using scenario::WanPath;
+using scenario::ScenarioBuilder;
+using scenario::wan_path_spec;
+using scenario::WanPathConfig;
 
 class MockHost final : public CcHost {
  public:
@@ -121,12 +124,13 @@ TEST(HighSpeedRssTest, DelegatesByPhase) {
 }
 
 TEST(HighSpeedRssTest, EndToEndStallFreeOnPaperPath) {
-  WanPath::Config cfg;
+  WanPathConfig cfg;
   cfg.enable_web100 = false;
-  WanPath wan{cfg, scenario::make_highspeed_rss_factory()};
-  wan.run_bulk_transfer(0_s, 25_s);
-  EXPECT_EQ(wan.sender().mib().SendStall, 0u);
-  EXPECT_GT(wan.goodput_mbps(0_s, 25_s), 85.0);
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_highspeed_rss_factory());
+  wan->start_flow(0, 0_s);
+  wan->run_until(25_s);
+  EXPECT_EQ(wan->sender(0).mib().SendStall, 0u);
+  EXPECT_GT(wan->sender(0).goodput_mbps(0_s, 25_s), 85.0);
 }
 
 TEST(HighSpeedRssTest, SustainsLargerWindowUnderContinuousLoss) {
@@ -135,14 +139,15 @@ TEST(HighSpeedRssTest, SustainsLargerWindowUnderContinuousLoss) {
   // more. On a 120 ms-RTT path at p = 2e-4: Reno ~ 85 segments (~8 Mbit/s),
   // HSTCP ~ 150 (~15 Mbit/s). Require a clear multiplicative win.
   auto run = [](const scenario::CcFactory& f) {
-    WanPath::Config cfg;
+    WanPathConfig cfg;
     cfg.enable_web100 = false;
     cfg.path.one_way_delay = 60_ms;  // RTT 120 ms, BDP ~1000 pkts
     cfg.path.ifq_capacity_packets = 4000;
-    WanPath wan{cfg, f};
-    wan.nic().link()->set_loss_rate(2e-4, sim::Rng{3});
-    wan.run_bulk_transfer(0_s, 30_s);
-    return wan.goodput_mbps(0_s, 30_s);
+    auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(f);
+    wan->device("sender", "receiver").link()->set_loss_rate(2e-4, sim::Rng{3});
+    wan->start_flow(0, 0_s);
+    wan->run_until(30_s);
+    return wan->sender(0).goodput_mbps(0_s, 30_s);
   };
   const double hybrid = run(scenario::make_highspeed_rss_factory());
   const double reno = run(scenario::make_reno_factory());
@@ -154,27 +159,29 @@ TEST(LinkJitterTest, HeavyReorderingDegradesButNeverWedgesTcp) {
   // constantly; spurious dupack fast-retransmits hammer the window (a
   // classic, real TCP pathology). Robustness claim: the connection keeps
   // moving and never loses data — not that it stays fast.
-  WanPath::Config cfg;
+  WanPathConfig cfg;
   cfg.enable_web100 = false;
-  WanPath wan{cfg, scenario::make_reno_factory()};
-  wan.nic().link()->set_jitter(5_ms, sim::Rng{13});
-  wan.run_bulk_transfer(0_s, 10_s);
-  EXPECT_GT(wan.receiver().out_of_order_packets(), 0u);
-  EXPECT_GT(wan.sender().mib().FastRetran, 0u);  // spurious retransmits
-  EXPECT_GT(wan.sender().bytes_acked(), 500'000u);
-  EXPECT_LE(wan.sender().bytes_acked(), wan.receiver().bytes_received() + 1460);
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_reno_factory());
+  wan->device("sender", "receiver").link()->set_jitter(5_ms, sim::Rng{13});
+  wan->start_flow(0, 0_s);
+  wan->run_until(10_s);
+  EXPECT_GT(wan->receiver(0).out_of_order_packets(), 0u);
+  EXPECT_GT(wan->sender(0).mib().FastRetran, 0u);  // spurious retransmits
+  EXPECT_GT(wan->sender(0).bytes_acked(), 500'000u);
+  EXPECT_LE(wan->sender(0).bytes_acked(), wan->receiver(0).bytes_received() + 1460);
 }
 
 TEST(LinkJitterTest, SubSerializationJitterIsHarmless) {
   // Jitter below one serialization time cannot reorder; throughput stays
   // at line rate.
-  WanPath::Config cfg;
+  WanPathConfig cfg;
   cfg.enable_web100 = false;
-  WanPath wan{cfg, scenario::make_rss_factory()};
-  wan.nic().link()->set_jitter(sim::Time::microseconds(50), sim::Rng{13});
-  wan.run_bulk_transfer(0_s, 10_s);
-  EXPECT_EQ(wan.receiver().out_of_order_packets(), 0u);
-  EXPECT_GT(wan.goodput_mbps(0_s, 10_s), 80.0);
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_rss_factory());
+  wan->device("sender", "receiver").link()->set_jitter(sim::Time::microseconds(50), sim::Rng{13});
+  wan->start_flow(0, 0_s);
+  wan->run_until(10_s);
+  EXPECT_EQ(wan->receiver(0).out_of_order_packets(), 0u);
+  EXPECT_GT(wan->sender(0).goodput_mbps(0_s, 10_s), 80.0);
 }
 
 TEST(LinkJitterTest, ValidatesParameter) {

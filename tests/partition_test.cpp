@@ -23,10 +23,8 @@
 #include "net/cross_link.hpp"
 #include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
-#include "scenario/dumbbell.hpp"
 #include "scenario/presets.hpp"
 #include "scenario/topology.hpp"
-#include "scenario/wan_path.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
 #include "web100/mib.hpp"
@@ -270,24 +268,26 @@ TEST(PartitionBuilder, ZeroPartitionsIsRejected) {
 }
 
 TEST(PartitionBuilder, RequestsBeyondNodeCountAreClamped) {
-  scenario::Dumbbell::Config cfg;
+  scenario::DumbbellConfig cfg;
   cfg.flows = 2;
   cfg.execution.partitions = 64;  // far beyond the 6 nodes
-  scenario::Dumbbell db{cfg, [](std::size_t) { return scenario::make_reno_factory()(); }};
-  EXPECT_LE(db.scenario().partition_count(), 6u);
-  EXPECT_GT(db.scenario().partition_count(), 1u);
+  auto db = scenario::ScenarioBuilder{scenario::dumbbell_spec(cfg)}.build(
+      scenario::make_reno_factory());
+  EXPECT_LE(db->partition_count(), 6u);
+  EXPECT_GT(db->partition_count(), 1u);
 }
 
 TEST(PartitionBuilder, CrossPartitionLinksRejectLossAndJitter) {
-  scenario::Dumbbell::Config cfg;
+  scenario::DumbbellConfig cfg;
   cfg.flows = 2;
   cfg.execution.partitions = 2;
   cfg.execution.strategy = PartitionStrategy::kAuto;
-  scenario::Dumbbell db{cfg, [](std::size_t) { return scenario::make_reno_factory()(); }};
-  ASSERT_EQ(db.scenario().partition_count(), 2u);
+  auto db = scenario::ScenarioBuilder{scenario::dumbbell_spec(cfg)}.build(
+      scenario::make_reno_factory());
+  ASSERT_EQ(db->partition_count(), 2u);
   // The bottleneck carries the largest delay, so kAuto cuts there; its link
   // must be the cross-partition kind, which refuses RNG-drawing knobs.
-  net::PointToPointLink* bottleneck = db.bottleneck().link();
+  net::PointToPointLink* bottleneck = db->device("routerL", "routerR").link();
   ASSERT_NE(bottleneck, nullptr);
   EXPECT_THROW(bottleneck->set_loss_rate(0.01, sim::Rng{7}), std::logic_error);
   EXPECT_THROW(bottleneck->set_jitter(1_ms, sim::Rng{7}), std::logic_error);
@@ -335,17 +335,17 @@ void expect_partition_parity(const TopologySpec& spec, std::size_t partitions,
 }
 
 TEST(PartitionParity, WanPath) {
-  expect_partition_parity(scenario::WanPath::make_spec({}), 2, 2_s);
+  expect_partition_parity(scenario::wan_path_spec({}), 2, 2_s);
 }
 
 TEST(PartitionParity, Dumbbell) {
-  scenario::Dumbbell::Config cfg;
+  scenario::DumbbellConfig cfg;
   cfg.flows = 4;
-  expect_partition_parity(scenario::Dumbbell::make_spec(cfg), 2, 2_s);
+  expect_partition_parity(scenario::dumbbell_spec(cfg), 2, 2_s);
 }
 
 TEST(PartitionParity, ParkingLot) {
-  expect_partition_parity(scenario::ParkingLot::make_spec({}), 2, 2_s);
+  expect_partition_parity(scenario::parking_lot_spec({}), 2, 2_s);
 }
 
 // Regression pin: this exact configuration (1-hop parking lot, 5 cross
@@ -355,43 +355,43 @@ TEST(PartitionParity, ParkingLot) {
 // partitioned pop path resolved them by partition-local order. The shared
 // intrinsic (time, origin-hash) tie-break restored parity; keep it pinned.
 TEST(PartitionParity, ParkingLotFourWayWithSymmetricAccessRates) {
-  scenario::ParkingLot::Config cfg;
+  scenario::ParkingLotConfig cfg;
   cfg.hops = 1;
   cfg.cross_flows_per_hop = 5;
   cfg.access_rate = net::DataRate::mbps(100);
   cfg.bottleneck_rate = net::DataRate::mbps(100);
-  expect_partition_parity(scenario::ParkingLot::make_spec(cfg), 4, 2_s);
+  expect_partition_parity(scenario::parking_lot_spec(cfg), 4, 2_s);
 }
 
 TEST(PartitionParity, MultiBottleneckChain) {
-  expect_partition_parity(scenario::MultiBottleneckChain::make_spec({}), 2, 2_s);
+  expect_partition_parity(scenario::multi_bottleneck_chain_spec({}), 2, 2_s);
 }
 
 TEST(PartitionParity, ScaleMeshTwoAndFourWay) {
-  scenario::ScaleMesh::Config cfg;
+  scenario::ScaleMeshConfig cfg;
   cfg.segments = 4;
   cfg.flows_per_segment = 4;
   cfg.cross_flows_per_segment = 2;
-  const TopologySpec spec = scenario::ScaleMesh::make_spec(cfg);
+  const TopologySpec spec = scenario::scale_mesh_spec(cfg);
   expect_partition_parity(spec, 2, 1_s);
   expect_partition_parity(spec, 4, 1_s);
 }
 
 TEST(PartitionParity, BlockStrategyMatchesToo) {
-  scenario::ScaleMesh::Config cfg;
+  scenario::ScaleMeshConfig cfg;
   cfg.segments = 4;
   cfg.flows_per_segment = 2;
   cfg.cross_flows_per_segment = 1;
   cfg.execution.strategy = PartitionStrategy::kBlock;
-  expect_partition_parity(scenario::ScaleMesh::make_spec(cfg), 4, 1_s);
+  expect_partition_parity(scenario::scale_mesh_spec(cfg), 4, 1_s);
 }
 
 TEST(PartitionParity, ThreadCountDoesNotChangeResults) {
-  scenario::ScaleMesh::Config cfg;
+  scenario::ScaleMeshConfig cfg;
   cfg.segments = 3;
   cfg.flows_per_segment = 3;
   cfg.cross_flows_per_segment = 1;
-  TopologySpec spec = scenario::ScaleMesh::make_spec(cfg);
+  TopologySpec spec = scenario::scale_mesh_spec(cfg);
   spec.execution.partitions = 3;
 
   std::vector<std::vector<std::uint64_t>> prints;

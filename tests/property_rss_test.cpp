@@ -13,15 +13,18 @@
 #include <string>
 
 #include "metrics/timeseries.hpp"
+#include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
-#include "scenario/wan_path.hpp"
+#include "scenario/presets.hpp"
 #include "workload/apps.hpp"
 
 namespace rss::core {
 namespace {
 
 using namespace rss::sim::literals;
-using scenario::WanPath;
+using scenario::ScenarioBuilder;
+using scenario::wan_path_spec;
+using scenario::WanPathConfig;
 
 struct RssCase {
   std::size_t ifq;
@@ -32,13 +35,14 @@ struct RssCase {
 
 class RssGridTest : public ::testing::TestWithParam<RssCase> {
  protected:
-  static WanPath make(const RssCase& c, const scenario::CcFactory& factory) {
-    WanPath::Config cfg;
+  static std::unique_ptr<scenario::Scenario> make(const RssCase& c,
+                                                  const scenario::CcFactory& factory) {
+    WanPathConfig cfg;
     cfg.enable_web100 = false;
     cfg.sender.trace_cwnd = true;
     cfg.path.ifq_capacity_packets = c.ifq;
     cfg.path.one_way_delay = sim::Time::milliseconds(c.rtt_ms / 2);
-    return WanPath{cfg, factory};
+    return ScenarioBuilder{wan_path_spec(cfg)}.build(factory);
   }
 
   static scenario::CcFactory rss_factory(const RssCase& c) {
@@ -56,29 +60,34 @@ class RssGridTest : public ::testing::TestWithParam<RssCase> {
 TEST_P(RssGridTest, NoStallsNoDropsContainedQueue) {
   const auto c = GetParam();
   auto wan = make(c, rss_factory(c));
+  const net::NetDevice& nic = wan->device("sender", "receiver");
   metrics::TimeSeries ifq{"ifq"};
-  wan.simulation().every(10_ms, [&](sim::Time now) {
-    ifq.record(now, static_cast<double>(wan.nic().occupancy_packets()));
+  wan->simulation().every(10_ms, [&](sim::Time now) {
+    ifq.record(now, static_cast<double>(nic.occupancy_packets()));
     return true;
   });
-  wan.run_bulk_transfer(0_s, 15_s);
+  wan->start_flow(0, 0_s);
+  wan->run_until(15_s);
 
   // R1
-  EXPECT_EQ(wan.sender().mib().SendStall, 0u) << "send-stalls observed";
-  EXPECT_EQ(wan.nic().ifq().stats().dropped, 0u) << "IFQ tail drops observed";
+  EXPECT_EQ(wan->sender(0).mib().SendStall, 0u) << "send-stalls observed";
+  EXPECT_EQ(nic.ifq().stats().dropped, 0u) << "IFQ tail drops observed";
   // R2 — sampled occupancy (includes wire slot) stays within capacity.
   EXPECT_LE(ifq.max_value(), static_cast<double>(c.ifq) + 1.0);
   // Sanity: the transfer actually ran.
-  EXPECT_GT(wan.sender().bytes_acked(), 1'000'000u);
+  EXPECT_GT(wan->sender(0).bytes_acked(), 1'000'000u);
 }
 
 TEST_P(RssGridTest, NeverWorseThanStandardTcp) {
   const auto c = GetParam();
   auto rss_wan = make(c, rss_factory(c));
-  rss_wan.run_bulk_transfer(0_s, 15_s);
+  rss_wan->start_flow(0, 0_s);
+  rss_wan->run_until(15_s);
   auto std_wan = make(c, scenario::make_reno_factory());
-  std_wan.run_bulk_transfer(0_s, 15_s);
-  EXPECT_GE(rss_wan.goodput_mbps(0_s, 15_s), 0.95 * std_wan.goodput_mbps(0_s, 15_s));
+  std_wan->start_flow(0, 0_s);
+  std_wan->run_until(15_s);
+  EXPECT_GE(rss_wan->sender(0).goodput_mbps(0_s, 15_s),
+            0.95 * std_wan->sender(0).goodput_mbps(0_s, 15_s));
 }
 
 TEST_P(RssGridTest, GrowthNeverExceedsOneMssPerAck) {
@@ -86,8 +95,9 @@ TEST_P(RssGridTest, GrowthNeverExceedsOneMssPerAck) {
   auto wan = make(c, rss_factory(c));
   // cwnd trace records every set_cwnd call; consecutive increases in
   // slow-start must be bounded by MSS (+ epsilon for CA crossover).
-  wan.run_bulk_transfer(0_s, 5_s);
-  const auto& trace = wan.sender().cwnd_trace();
+  wan->start_flow(0, 0_s);
+  wan->run_until(5_s);
+  const auto& trace = wan->sender(0).cwnd_trace();
   double prev = 0.0;
   bool first = true;
   for (const auto& s : trace.samples()) {
@@ -120,31 +130,33 @@ INSTANTIATE_TEST_SUITE_P(
 // RSS with cross traffic stealing IFQ capacity: the controller sees the
 // combined occupancy and still avoids stalls of its own flow.
 TEST(RssRobustness, SurvivesCrossTrafficOnTheSameNic) {
-  WanPath::Config cfg;
+  WanPathConfig cfg;
   cfg.enable_web100 = false;
-  WanPath wan{cfg, scenario::make_rss_factory()};
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_rss_factory());
   // ~20 Mbit/s of datagram cross traffic through the same 100 Mbit/s NIC.
   workload::PoissonPacketSource::Options xopt;
   xopt.dst_node = 2;
   xopt.packets_per_second = 1700.0;
-  workload::PoissonPacketSource cross{wan.simulation(), wan.sender_node(), xopt};
-  wan.run_bulk_transfer(0_s, 20_s);
+  workload::PoissonPacketSource cross{wan->simulation(), wan->node("sender"), xopt};
+  wan->start_flow(0, 0_s);
+  wan->run_until(20_s);
 
-  EXPECT_EQ(wan.sender().mib().SendStall, 0u);
+  EXPECT_EQ(wan->sender(0).mib().SendStall, 0u);
   // TCP cedes bandwidth to the cross traffic but keeps the link busy.
-  const double total = wan.goodput_mbps(0_s, 20_s) +
+  const double total = wan->sender(0).goodput_mbps(0_s, 20_s) +
                        static_cast<double>(cross.packets_sent()) * 1500 * 8 / 20.0 / 1e6;
   EXPECT_GT(total, 70.0);
 }
 
 TEST(RssRobustness, RandomWanLossFallsBackToStockRecovery) {
-  WanPath::Config cfg;
+  WanPathConfig cfg;
   cfg.enable_web100 = false;
-  WanPath wan{cfg, scenario::make_rss_factory()};
-  wan.nic().link()->set_loss_rate(0.002, sim::Rng{5});
-  wan.run_bulk_transfer(0_s, 20_s);
-  EXPECT_GT(wan.sender().mib().FastRetran, 0u);
-  EXPECT_GT(wan.sender().bytes_acked(), 10'000'000u);
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_rss_factory());
+  wan->device("sender", "receiver").link()->set_loss_rate(0.002, sim::Rng{5});
+  wan->start_flow(0, 0_s);
+  wan->run_until(20_s);
+  EXPECT_GT(wan->sender(0).mib().FastRetran, 0u);
+  EXPECT_GT(wan->sender(0).bytes_acked(), 10'000'000u);
 }
 
 }  // namespace

@@ -14,14 +14,17 @@
 #include <string>
 #include <tuple>
 
+#include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
-#include "scenario/wan_path.hpp"
+#include "scenario/presets.hpp"
 
 namespace rss {
 namespace {
 
 using namespace rss::sim::literals;
-using scenario::WanPath;
+using scenario::ScenarioBuilder;
+using scenario::wan_path_spec;
+using scenario::WanPathConfig;
 
 struct TcpCase {
   std::string variant;
@@ -33,13 +36,14 @@ class TcpInvariantTest : public ::testing::TestWithParam<TcpCase> {
  protected:
   // WanPath owns a Simulation and is intentionally pinned (non-movable);
   // tests hold it by unique_ptr.
-  static std::unique_ptr<WanPath> make(const TcpCase& c) {
-    WanPath::Config cfg;
+  static std::unique_ptr<scenario::Scenario> make(const TcpCase& c) {
+    WanPathConfig cfg;
     cfg.enable_web100 = false;
     cfg.sender.trace_cwnd = true;
     cfg.path.one_way_delay = sim::Time::milliseconds(c.rtt_ms / 2);
-    auto wan = std::make_unique<WanPath>(cfg, scenario::factory_by_name(c.variant));
-    if (c.loss_rate > 0.0) wan->nic().link()->set_loss_rate(c.loss_rate, sim::Rng{99});
+    auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::factory_by_name(c.variant));
+    if (c.loss_rate > 0.0)
+      wan->device("sender", "receiver").link()->set_loss_rate(c.loss_rate, sim::Rng{99});
     return wan;
   }
 };
@@ -47,10 +51,11 @@ class TcpInvariantTest : public ::testing::TestWithParam<TcpCase> {
 TEST_P(TcpInvariantTest, EndToEndInvariantsHold) {
   const auto c = GetParam();
   auto wan = make(c);
-  wan->run_bulk_transfer(0_s, 12_s);
+  wan->start_flow(0, 0_s);
+  wan->run_until(12_s);
 
-  const auto& s = wan->sender();
-  const auto& r = wan->receiver();
+  const auto& s = wan->sender(0);
+  const auto& r = wan->receiver(0);
 
   // I3: liveness — even at 5% loss something substantial must get through.
   EXPECT_GT(s.bytes_acked(), 50'000u) << "transfer stalled";
@@ -67,7 +72,7 @@ TEST_P(TcpInvariantTest, EndToEndInvariantsHold) {
   EXPECT_GE(s.cwnd_trace().min_value(), 1460.0);
 
   // I5: line rate bound (payload efficiency 1460/1500).
-  EXPECT_LE(wan->goodput_mbps(0_s, 12_s), 97.4);
+  EXPECT_LE(wan->sender(0).goodput_mbps(0_s, 12_s), 97.4);
 
   // Web100 accounting consistency.
   EXPECT_EQ(s.mib().ThruBytesAcked, s.bytes_acked());
@@ -78,10 +83,11 @@ TEST_P(TcpInvariantTest, DeterministicReplay) {
   const auto c = GetParam();
   auto run = [&c] {
     auto wan = make(c);
-    wan->run_bulk_transfer(0_s, 6_s);
-    return std::tuple{wan->sender().bytes_acked(), wan->sender().mib().PktsOut,
-                      wan->sender().mib().PktsRetrans, wan->sender().mib().Timeouts,
-                      wan->receiver().bytes_received()};
+    wan->start_flow(0, 0_s);
+    wan->run_until(6_s);
+    return std::tuple{wan->sender(0).bytes_acked(), wan->sender(0).mib().PktsOut,
+                      wan->sender(0).mib().PktsRetrans, wan->sender(0).mib().Timeouts,
+                      wan->receiver(0).bytes_received()};
   };
   EXPECT_EQ(run(), run());
 }
@@ -115,12 +121,13 @@ INSTANTIATE_TEST_SUITE_P(AllVariants, TcpInvariantTest, ::testing::ValuesIn(all_
 class ReceiverPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ReceiverPropertyTest, ReceiverByteCountEqualsContiguousPrefixUnderLoss) {
-  WanPath::Config cfg;
+  WanPathConfig cfg;
   cfg.enable_web100 = false;
-  WanPath wan{cfg, scenario::make_reno_factory()};
-  wan.nic().link()->set_loss_rate(0.03, sim::Rng{GetParam()});
-  wan.run_bulk_transfer(0_s, 8_s);
-  const auto& r = wan.receiver();
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_reno_factory());
+  wan->device("sender", "receiver").link()->set_loss_rate(0.03, sim::Rng{GetParam()});
+  wan->start_flow(0, 0_s);
+  wan->run_until(8_s);
+  const auto& r = wan->receiver(0);
   // rcv_nxt advanced exactly bytes_received from the initial sequence
   // (distance is a hidden friend of SeqNum, found via ADL).
   EXPECT_EQ(distance(tcp::SeqNum{0}, r.rcv_nxt()),

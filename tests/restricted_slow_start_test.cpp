@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
-#include "scenario/wan_path.hpp"
+#include "scenario/presets.hpp"
 
 namespace rss::core {
 namespace {
 
 using namespace rss::sim::literals;
-using scenario::WanPath;
+using scenario::ScenarioBuilder;
+using scenario::wan_path_spec;
+using scenario::WanPathConfig;
 
 /// Mock host with a scriptable IFQ occupancy.
 class MockHost final : public tcp::CcHost {
@@ -152,35 +155,39 @@ TEST(RestrictedSlowStartTest, LocalCongestionResetsIntegral) {
 // ----- End-to-end behaviour on the paper's path -----
 
 TEST(RestrictedSlowStartE2ETest, EliminatesSendStalls) {
-  WanPath::Config cfg;
+  WanPathConfig cfg;
   cfg.sender.trace_stalls = true;
-  WanPath wan{cfg, scenario::make_rss_factory()};
-  wan.run_bulk_transfer(sim::Time::zero(), 25_s);
-  EXPECT_EQ(wan.sender().mib().SendStall, 0u);
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_rss_factory());
+  wan->start_flow(0, sim::Time::zero());
+  wan->run_until(25_s);
+  EXPECT_EQ(wan->sender(0).mib().SendStall, 0u);
 }
 
 TEST(RestrictedSlowStartE2ETest, HoldsIfqNearSetpoint) {
-  WanPath::Config cfg;
-  WanPath wan{cfg, scenario::make_rss_factory()};
+  WanPathConfig cfg;
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_rss_factory());
+  const net::NetDevice& nic = wan->device("sender", "receiver");
   metrics::TimeSeries occupancy{"ifq"};
-  wan.simulation().every(50_ms, [&](sim::Time now) {
-    occupancy.record(now, static_cast<double>(wan.nic().occupancy_packets()));
+  wan->simulation().every(50_ms, [&](sim::Time now) {
+    occupancy.record(now, static_cast<double>(nic.occupancy_packets()));
     return true;
   });
-  wan.run_bulk_transfer(sim::Time::zero(), 20_s);
+  wan->start_flow(0, sim::Time::zero());
+  wan->run_until(20_s);
   // After convergence (last 10 s) occupancy must sit near 90% of 100.
   const double avg = occupancy.time_weighted_mean(10_s, 20_s);
   EXPECT_GT(avg, 60.0);
   EXPECT_LE(avg, 100.0);
   // And never overflow: peak below capacity (no tail drops at the IFQ).
-  EXPECT_EQ(wan.nic().ifq().stats().dropped, 0u);
+  EXPECT_EQ(nic.ifq().stats().dropped, 0u);
 }
 
 TEST(RestrictedSlowStartE2ETest, OutperformsStandardTcpOnPaperPath) {
   auto run = [](const scenario::CcFactory& f) {
-    WanPath wan{WanPath::Config{}, f};
-    wan.run_bulk_transfer(sim::Time::zero(), 25_s);
-    return wan.goodput_mbps(sim::Time::zero(), 25_s);
+    auto wan = ScenarioBuilder{wan_path_spec({})}.build(f);
+    wan->start_flow(0, sim::Time::zero());
+    wan->run_until(25_s);
+    return wan->sender(0).goodput_mbps(sim::Time::zero(), 25_s);
   };
   const double standard = run(scenario::make_reno_factory());
   const double restricted = run(scenario::make_rss_factory());
@@ -191,22 +198,25 @@ TEST(RestrictedSlowStartE2ETest, OutperformsStandardTcpOnPaperPath) {
 }
 
 TEST(RestrictedSlowStartE2ETest, NearLineRateUtilization) {
-  WanPath wan{WanPath::Config{}, scenario::make_rss_factory()};
-  wan.run_bulk_transfer(sim::Time::zero(), 25_s);
-  EXPECT_GT(wan.goodput_mbps(sim::Time::zero(), 25_s), 80.0);
+  auto wan = ScenarioBuilder{wan_path_spec({})}.build(scenario::make_rss_factory());
+  wan->start_flow(0, sim::Time::zero());
+  wan->run_until(25_s);
+  EXPECT_GT(wan->sender(0).goodput_mbps(sim::Time::zero(), 25_s), 80.0);
 }
 
 TEST(RestrictedSlowStartE2ETest, SetpointFractionRespected) {
   for (const double frac : {0.5, 0.7, 0.9}) {
     RestrictedSlowStart::Options opt;
     opt.setpoint_fraction = frac;
-    WanPath wan{WanPath::Config{}, scenario::make_rss_factory(opt)};
+    auto wan = ScenarioBuilder{wan_path_spec({})}.build(scenario::make_rss_factory(opt));
+    const net::NetDevice& nic = wan->device("sender", "receiver");
     metrics::TimeSeries occupancy{"ifq"};
-    wan.simulation().every(50_ms, [&](sim::Time now) {
-      occupancy.record(now, static_cast<double>(wan.nic().occupancy_packets()));
+    wan->simulation().every(50_ms, [&](sim::Time now) {
+      occupancy.record(now, static_cast<double>(nic.occupancy_packets()));
       return true;
     });
-    wan.run_bulk_transfer(sim::Time::zero(), 20_s);
+    wan->start_flow(0, sim::Time::zero());
+    wan->run_until(20_s);
     const double avg = occupancy.time_weighted_mean(10_s, 20_s);
     EXPECT_NEAR(avg, frac * 100.0, 30.0) << "setpoint fraction " << frac;
   }

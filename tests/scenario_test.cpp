@@ -4,11 +4,11 @@
 #include <numeric>
 
 #include "metrics/summary.hpp"
+#include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
-#include "scenario/dumbbell.hpp"
+#include "scenario/presets.hpp"
 #include "scenario/sweep.hpp"
 #include "scenario/tuning.hpp"
-#include "scenario/wan_path.hpp"
 
 namespace rss::scenario {
 namespace {
@@ -16,28 +16,30 @@ namespace {
 using namespace rss::sim::literals;
 
 TEST(WanPathTest, TopologyMatchesCanonicalPaper) {
-  WanPath wan{WanPath::Config{}, make_reno_factory()};
-  EXPECT_EQ(wan.nic().rate(), net::DataRate::mbps(100));
-  EXPECT_EQ(wan.nic().ifq_capacity(), 100u);
-  EXPECT_EQ(wan.nic().link()->delay(), 30_ms);
-  EXPECT_EQ(wan.sender().mss(), 1460u);
+  auto wan = ScenarioBuilder{wan_path_spec({})}.build(make_reno_factory());
+  const net::NetDevice& nic = wan->device("sender", "receiver");
+  EXPECT_EQ(nic.rate(), net::DataRate::mbps(100));
+  EXPECT_EQ(nic.ifq_capacity(), 100u);
+  EXPECT_EQ(nic.link()->delay(), 30_ms);
+  EXPECT_EQ(wan->sender(0).mss(), 1460u);
 }
 
 TEST(WanPathTest, Web100AgentPollsWhenEnabled) {
-  WanPath::Config cfg;
+  WanPathConfig cfg;
   cfg.web100_poll_period = 50_ms;
-  WanPath wan{cfg, make_reno_factory()};
-  wan.run_bulk_transfer(0_s, 1_s);
-  ASSERT_NE(wan.agent(), nullptr);
-  EXPECT_GE(wan.agent()->polls_taken(), 20u);
-  EXPECT_GT(wan.agent()->series("ThruBytesAcked").back().value, 0.0);
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(make_reno_factory());
+  wan->start_flow(0, 0_s);
+  wan->run_until(1_s);
+  ASSERT_NE(wan->agent(0), nullptr);
+  EXPECT_GE(wan->agent(0)->polls_taken(), 20u);
+  EXPECT_GT(wan->agent(0)->series("ThruBytesAcked").back().value, 0.0);
 }
 
 TEST(WanPathTest, Web100CanBeDisabled) {
-  WanPath::Config cfg;
+  WanPathConfig cfg;
   cfg.enable_web100 = false;
-  WanPath wan{cfg, make_reno_factory()};
-  EXPECT_EQ(wan.agent(), nullptr);
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(make_reno_factory());
+  EXPECT_EQ(wan->agent(0), nullptr);
 }
 
 TEST(WanPathTest, BdpMatchesHandComputation) {
@@ -48,13 +50,13 @@ TEST(WanPathTest, BdpMatchesHandComputation) {
 }
 
 TEST(DumbbellTest, FlowsShareBottleneckFairly) {
-  Dumbbell::Config cfg;
+  DumbbellConfig cfg;
   cfg.flows = 4;
-  Dumbbell d{cfg, [](std::size_t) { return std::make_unique<tcp::RenoCongestionControl>(); }};
-  for (std::size_t i = 0; i < 4; ++i) d.start_flow(i, 0_s);
-  d.simulation().run_until(30_s);
+  auto d = ScenarioBuilder{dumbbell_spec(cfg)}.build(make_reno_factory());
+  for (std::size_t i = 0; i < 4; ++i) d->start_flow(i, 0_s);
+  d->run_until(30_s);
 
-  const auto goodputs = d.goodputs_mbps(0_s, 30_s);
+  const auto goodputs = d->goodputs_mbps(0_s, 30_s);
   const double total = std::accumulate(goodputs.begin(), goodputs.end(), 0.0);
   EXPECT_GT(total, 50.0);   // bottleneck is reasonably utilized
   EXPECT_LE(total, 100.0);  // and not exceeded
@@ -62,41 +64,36 @@ TEST(DumbbellTest, FlowsShareBottleneckFairly) {
 }
 
 TEST(DumbbellTest, RouterQueueCongestionCausesNetworkDrops) {
-  Dumbbell::Config cfg;
+  DumbbellConfig cfg;
   cfg.flows = 2;
   cfg.router_queue_packets = 30;
-  Dumbbell d{cfg, [](std::size_t) { return std::make_unique<tcp::RenoCongestionControl>(); }};
-  d.start_flow(0, 0_s);
-  d.start_flow(1, 100_ms);
-  d.simulation().run_until(15_s);
-  EXPECT_GT(d.bottleneck().ifq().stats().dropped, 0u);
+  auto d = ScenarioBuilder{dumbbell_spec(cfg)}.build(make_reno_factory());
+  d->start_flow(0, 0_s);
+  d->start_flow(1, 100_ms);
+  d->run_until(15_s);
+  EXPECT_GT(d->device("routerL", "routerR").ifq().stats().dropped, 0u);
   // Senders saw fast retransmits from those drops.
-  EXPECT_GT(d.sender(0).mib().FastRetran + d.sender(1).mib().FastRetran, 0u);
+  EXPECT_GT(d->sender(0).mib().FastRetran + d->sender(1).mib().FastRetran, 0u);
 }
 
 TEST(DumbbellTest, MixedAlgorithmsCoexist) {
-  Dumbbell::Config cfg;
+  DumbbellConfig cfg;
   cfg.flows = 2;
-  Dumbbell d{cfg, [](std::size_t i) -> std::unique_ptr<tcp::CongestionControl> {
-               if (i == 0) return std::make_unique<core::RestrictedSlowStart>();
-               return std::make_unique<tcp::RenoCongestionControl>();
-             }};
-  d.start_flow(0, 0_s);
-  d.start_flow(1, 0_s);
-  d.simulation().run_until(20_s);
-  EXPECT_EQ(d.sender(0).congestion_control().name(), "restricted-slow-start");
-  EXPECT_EQ(d.sender(1).congestion_control().name(), "reno");
-  EXPECT_GT(d.sender(0).bytes_acked(), 0u);
-  EXPECT_GT(d.sender(1).bytes_acked(), 0u);
+  auto d = ScenarioBuilder{dumbbell_spec(cfg)}.build(
+      striped_cc({make_rss_factory(), make_reno_factory()}));
+  d->start_flow(0, 0_s);
+  d->start_flow(1, 0_s);
+  d->run_until(20_s);
+  EXPECT_EQ(d->sender(0).congestion_control().name(), "restricted-slow-start");
+  EXPECT_EQ(d->sender(1).congestion_control().name(), "reno");
+  EXPECT_GT(d->sender(0).bytes_acked(), 0u);
+  EXPECT_GT(d->sender(1).bytes_acked(), 0u);
 }
 
 TEST(DumbbellTest, ValidatesConfig) {
-  Dumbbell::Config cfg;
+  DumbbellConfig cfg;
   cfg.flows = 0;
-  EXPECT_THROW(Dumbbell(cfg, [](std::size_t) {
-                 return std::make_unique<tcp::RenoCongestionControl>();
-               }),
-               std::invalid_argument);
+  EXPECT_THROW((void)dumbbell_spec(cfg), std::invalid_argument);
 }
 
 TEST(ParallelSweepTest, VisitsEveryIndexExactlyOnce) {
@@ -130,14 +127,15 @@ TEST(ParallelMapTest, ResultsArePositional) {
 
 TEST(ParallelSweepTest, IndependentSimulationsRunConcurrently) {
   // Smoke test for thread-safety of whole-simulation parallelism: N
-  // identical WanPaths must produce identical results.
+  // identical WAN paths must produce identical results.
   std::vector<std::uint64_t> acked(6);
   parallel_sweep(
       6,
       [&](std::size_t i) {
-        WanPath wan{WanPath::Config{}, make_reno_factory()};
-        wan.run_bulk_transfer(0_s, 3_s);
-        acked[i] = wan.sender().bytes_acked();
+        auto wan = ScenarioBuilder{wan_path_spec({})}.build(make_reno_factory());
+        wan->start_flow(0, 0_s);
+        wan->run_until(3_s);
+        acked[i] = wan->sender(0).bytes_acked();
       },
       6);
   for (std::size_t i = 1; i < acked.size(); ++i) EXPECT_EQ(acked[i], acked[0]);

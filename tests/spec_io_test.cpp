@@ -504,6 +504,60 @@ TEST(ScenarioSpecTest, ZeroQueueAndFluidPacketSizesAreRejectedAtParse) {
   EXPECT_EQ(fluid->field(), "flows[0].fluid.packet_bytes");
 }
 
+/// The SpecError a one-link spec raises with `dev_fields` spliced into its
+/// a_dev object (nullopt when it parses).
+std::optional<SpecError> device_spec_error(const std::string& dev_fields) {
+  return spec_error_full([&] {
+    (void)parse_scenario_spec(R"({"nodes": ["a", "b"],
+                                  "links": [{"a": "a", "b": "b", "a_dev": {)" +
+                              dev_fields + "}}]}");
+  });
+}
+
+void expect_bad_value(const std::optional<SpecError>& err, const std::string& field) {
+  ASSERT_TRUE(err.has_value()) << field << " was accepted";
+  EXPECT_EQ(err->code(), Code::kBadValue) << field;
+  EXPECT_EQ(err->field(), field);
+}
+
+// FluidSource, CodelQueue and RedQueue reject these in their constructors,
+// so a spec that validates would fail only at run time; parse rejects them.
+
+TEST(ScenarioSpecTest, ZeroFluidStrideIsRejectedAtParse) {
+  expect_bad_value(flow_spec_error(R"("model": "fluid", "fluid": {"stride": "0s"})"),
+                   "flows[0].fluid.stride");
+}
+
+TEST(ScenarioSpecTest, ZeroCodelTargetIsRejectedAtParse) {
+  expect_bad_value(device_spec_error(R"("qdisc": "codel", "codel": {"target": "0s"})"),
+                   "links[0].a_dev.codel.target");
+}
+
+TEST(ScenarioSpecTest, ZeroCodelIntervalIsRejectedAtParse) {
+  expect_bad_value(device_spec_error(R"("qdisc": "codel", "codel": {"interval": "0ms"})"),
+                   "links[0].a_dev.codel.interval");
+}
+
+TEST(ScenarioSpecTest, RedMinThresholdNotBelowMaxIsRejectedAtParse) {
+  expect_bad_value(device_spec_error(R"("qdisc": "red",
+                                        "red": {"min_threshold": 50, "max_threshold": 20})"),
+                   "links[0].a_dev.red.min_threshold");
+  expect_bad_value(device_spec_error(R"("qdisc": "red",
+                                        "red": {"min_threshold": 20, "max_threshold": 20})"),
+                   "links[0].a_dev.red.min_threshold");
+  // A max below the default min conflicts with a threshold the file never set.
+  expect_bad_value(device_spec_error(R"("qdisc": "red", "red": {"max_threshold": 10})"),
+                   "links[0].a_dev.red.max_threshold");
+}
+
+TEST(ScenarioSpecTest, RedQueueWeightOutsideUnitIntervalIsRejectedAtParse) {
+  expect_bad_value(device_spec_error(R"("qdisc": "red", "red": {"queue_weight": 0})"),
+                   "links[0].a_dev.red.queue_weight");
+  expect_bad_value(device_spec_error(R"("qdisc": "red", "red": {"queue_weight": 1.5})"),
+                   "links[0].a_dev.red.queue_weight");
+  EXPECT_FALSE(device_spec_error(R"("qdisc": "red", "red": {"queue_weight": 1})").has_value());
+}
+
 TEST(ScenarioSpecTest, DoublesKeepEveryDigitThroughARoundTrip) {
   // Ten significant digits would emit 0.123456789, a different double.
   const ScenarioSpec s = parse_scenario_spec(R"({"nodes": ["a", "b"],

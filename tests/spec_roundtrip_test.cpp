@@ -1,10 +1,10 @@
-// Spec-format parity: the four C++ topology presets (WanPath, Dumbbell,
-// ParkingLot, MultiBottleneckChain) must survive the trip through the JSON
-// file format — emit -> parse -> re-emit is byte-identical, and the
-// re-parsed spec rebuilds a scenario whose observable behaviour (Web100
-// counters, goodput) is byte-identical to one built from the in-memory
-// spec. This is what locks `rss_scenario --emit-preset` output to the C++
-// presets it mirrors.
+// Spec-format parity: the four C++ topology presets (wan_path_spec,
+// dumbbell_spec, parking_lot_spec, multi_bottleneck_chain_spec) must
+// survive the trip through the JSON file format — emit -> parse -> re-emit
+// is byte-identical, and the re-parsed spec rebuilds a scenario whose
+// observable behaviour (Web100 counters, goodput) is byte-identical to one
+// built from the in-memory spec. This is what locks `rss_scenario
+// --emit-preset` output to the C++ presets it mirrors.
 
 #include <gtest/gtest.h>
 
@@ -12,11 +12,9 @@
 #include <vector>
 
 #include "scenario/builder.hpp"
-#include "scenario/dumbbell.hpp"
 #include "scenario/presets.hpp"
 #include "scenario/spec_cli.hpp"
 #include "scenario/spec_io.hpp"
-#include "scenario/wan_path.hpp"
 #include "web100/mib.hpp"
 
 namespace rss::scenario::spec {
@@ -101,11 +99,11 @@ INSTANTIATE_TEST_SUITE_P(AllPresets, PresetRoundTripTest,
 // --- preset specs vs the C++ Config surface --------------------------------
 
 TEST(PresetSpecTest, WanpathSpecMatchesTheCppPreset) {
-  // The emitted spec is exactly WanPath::make_spec(default Config): same
-  // JSON both ways.
+  // The emitted spec is exactly wan_path_spec(default config): same JSON
+  // both ways.
   ScenarioSpec via_cpp;
   via_cpp.name = "wanpath";
-  via_cpp.topology = WanPath::make_spec(WanPath::Config{});
+  via_cpp.topology = wan_path_spec({});
   via_cpp.flow_cc = {"reno"};
   EXPECT_EQ(serialize_scenario_spec(preset_spec("wanpath")),
             serialize_scenario_spec(via_cpp));

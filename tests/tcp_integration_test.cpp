@@ -2,65 +2,72 @@
 
 #include <memory>
 
+#include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
-#include "scenario/wan_path.hpp"
+#include "scenario/presets.hpp"
 #include "tcp/reno.hpp"
 
 namespace rss {
 namespace {
 
 using namespace rss::sim::literals;
-using scenario::WanPath;
+using scenario::ScenarioBuilder;
+using scenario::wan_path_spec;
+using scenario::WanPathConfig;
 
-WanPath::Config base_config() {
-  WanPath::Config cfg;
+WanPathConfig base_config() {
+  WanPathConfig cfg;
   cfg.sender.trace_cwnd = true;
   cfg.sender.trace_stalls = true;
   return cfg;
 }
 
 TEST(TcpIntegrationTest, BulkTransferDeliversInOrderData) {
-  WanPath wan{base_config(), scenario::make_reno_factory()};
-  wan.run_bulk_transfer(sim::Time::zero(), 5_s);
-  EXPECT_GT(wan.receiver().bytes_received(), 1'000'000u);
+  auto wan = ScenarioBuilder{wan_path_spec(base_config())}.build(scenario::make_reno_factory());
+  wan->start_flow(0, sim::Time::zero());
+  wan->run_until(5_s);
+  EXPECT_GT(wan->receiver(0).bytes_received(), 1'000'000u);
   // Everything acked was received.
-  EXPECT_LE(wan.sender().bytes_acked(), wan.receiver().bytes_received() + 1460);
-  EXPECT_GT(wan.sender().bytes_acked(), 0u);
+  EXPECT_LE(wan->sender(0).bytes_acked(), wan->receiver(0).bytes_received() + 1460);
+  EXPECT_GT(wan->sender(0).bytes_acked(), 0u);
 }
 
 TEST(TcpIntegrationTest, FiniteTransferCompletesExactly) {
-  WanPath::Config cfg = base_config();
-  WanPath wan{cfg, scenario::make_reno_factory()};
+  WanPathConfig cfg = base_config();
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_reno_factory());
   const std::uint64_t object = 500'000;
-  wan.simulation().at(0_s, [&] { wan.sender().app_write(object); });
-  wan.simulation().run_until(30_s);
-  EXPECT_EQ(wan.receiver().bytes_received(), object);
-  EXPECT_EQ(wan.sender().bytes_acked(), object);
+  wan->simulation().at(0_s, [&] { wan->sender(0).app_write(object); });
+  wan->run_until(30_s);
+  EXPECT_EQ(wan->receiver(0).bytes_received(), object);
+  EXPECT_EQ(wan->sender(0).bytes_acked(), object);
 }
 
 TEST(TcpIntegrationTest, StandardTcpSuffersSendStalls) {
   // The paper's §2 phenomenon: stock slow-start overflows the IFQ.
-  WanPath wan{base_config(), scenario::make_reno_factory()};
-  wan.run_bulk_transfer(sim::Time::zero(), 10_s);
-  EXPECT_GT(wan.sender().mib().SendStall, 0u);
-  EXPECT_GT(wan.sender().mib().OtherReductions, 0u);
+  auto wan = ScenarioBuilder{wan_path_spec(base_config())}.build(scenario::make_reno_factory());
+  wan->start_flow(0, sim::Time::zero());
+  wan->run_until(10_s);
+  EXPECT_GT(wan->sender(0).mib().SendStall, 0u);
+  EXPECT_GT(wan->sender(0).mib().OtherReductions, 0u);
 }
 
 TEST(TcpIntegrationTest, StallsHappenInSlowStartNotCongestionAvoidance) {
   // Paper §2: "these congestion events are generated in the slow-start
   // phase rather than in the congestion avoidance phase". The first stall
   // must occur while cwnd < ssthresh held (i.e. within the first RTTs).
-  WanPath wan{base_config(), scenario::make_reno_factory()};
-  wan.run_bulk_transfer(sim::Time::zero(), 10_s);
-  const auto& stalls = wan.sender().stall_trace();
+  auto wan = ScenarioBuilder{wan_path_spec(base_config())}.build(scenario::make_reno_factory());
+  wan->start_flow(0, sim::Time::zero());
+  wan->run_until(10_s);
+  const auto& stalls = wan->sender(0).stall_trace();
   ASSERT_FALSE(stalls.empty());
   EXPECT_LT(stalls.front().t, 2_s);  // early, during initial slow-start
 }
 
 TEST(TcpIntegrationTest, RttEstimateMatchesPathRtt) {
-  WanPath wan{base_config(), scenario::make_reno_factory()};
-  wan.run_bulk_transfer(sim::Time::zero(), 5_s);
-  const auto srtt = wan.sender().rtt_estimator().srtt();
+  auto wan = ScenarioBuilder{wan_path_spec(base_config())}.build(scenario::make_reno_factory());
+  wan->start_flow(0, sim::Time::zero());
+  wan->run_until(5_s);
+  const auto srtt = wan->sender(0).rtt_estimator().srtt();
   // Propagation 60 ms + serialization/queueing; must be in a sane band.
   EXPECT_GE(srtt, 60_ms);
   EXPECT_LE(srtt, 120_ms);
@@ -68,70 +75,77 @@ TEST(TcpIntegrationTest, RttEstimateMatchesPathRtt) {
 
 TEST(TcpIntegrationTest, NoRetransmissionsWithoutLoss) {
   // Large IFQ: no stalls, no network loss -> not a single retransmission.
-  WanPath::Config cfg = base_config();
+  WanPathConfig cfg = base_config();
   cfg.path.ifq_capacity_packets = 100000;
-  WanPath wan{cfg, scenario::make_reno_factory()};
-  wan.run_bulk_transfer(sim::Time::zero(), 5_s);
-  EXPECT_EQ(wan.sender().mib().PktsRetrans, 0u);
-  EXPECT_EQ(wan.sender().mib().SendStall, 0u);
-  EXPECT_EQ(wan.sender().mib().Timeouts, 0u);
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_reno_factory());
+  wan->start_flow(0, sim::Time::zero());
+  wan->run_until(5_s);
+  EXPECT_EQ(wan->sender(0).mib().PktsRetrans, 0u);
+  EXPECT_EQ(wan->sender(0).mib().SendStall, 0u);
+  EXPECT_EQ(wan->sender(0).mib().Timeouts, 0u);
 }
 
 TEST(TcpIntegrationTest, ThroughputBoundedByLineRate) {
-  WanPath wan{base_config(), scenario::make_reno_factory()};
-  wan.run_bulk_transfer(sim::Time::zero(), 10_s);
-  EXPECT_LE(wan.goodput_mbps(0_s, 10_s), 100.0);
+  auto wan = ScenarioBuilder{wan_path_spec(base_config())}.build(scenario::make_reno_factory());
+  wan->start_flow(0, sim::Time::zero());
+  wan->run_until(10_s);
+  EXPECT_LE(wan->sender(0).goodput_mbps(0_s, 10_s), 100.0);
 }
 
 TEST(TcpIntegrationTest, RandomLossTriggersFastRetransmitAndRecovers) {
-  WanPath::Config cfg = base_config();
+  WanPathConfig cfg = base_config();
   cfg.path.ifq_capacity_packets = 100000;  // isolate network loss
-  WanPath wan{cfg, scenario::make_reno_factory()};
-  wan.nic().link()->set_loss_rate(0.001, sim::Rng{7});
-  wan.run_bulk_transfer(sim::Time::zero(), 20_s);
-  EXPECT_GT(wan.sender().mib().FastRetran, 0u);
-  EXPECT_GT(wan.sender().mib().PktsRetrans, 0u);
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_reno_factory());
+  wan->device("sender", "receiver").link()->set_loss_rate(0.001, sim::Rng{7});
+  wan->start_flow(0, sim::Time::zero());
+  wan->run_until(20_s);
+  EXPECT_GT(wan->sender(0).mib().FastRetran, 0u);
+  EXPECT_GT(wan->sender(0).mib().PktsRetrans, 0u);
   // Despite losses, the transfer keeps making progress.
-  EXPECT_GT(wan.receiver().bytes_received(), 10'000'000u);
+  EXPECT_GT(wan->receiver(0).bytes_received(), 10'000'000u);
   // Receiver saw out-of-order arrivals (the holes).
-  EXPECT_GT(wan.receiver().out_of_order_packets(), 0u);
+  EXPECT_GT(wan->receiver(0).out_of_order_packets(), 0u);
 }
 
 TEST(TcpIntegrationTest, HeavyLossStillProgresses) {
-  WanPath::Config cfg = base_config();
+  WanPathConfig cfg = base_config();
   cfg.path.ifq_capacity_packets = 100000;
-  WanPath wan{cfg, scenario::make_reno_factory()};
-  wan.nic().link()->set_loss_rate(0.05, sim::Rng{11});
-  wan.run_bulk_transfer(sim::Time::zero(), 20_s);
-  EXPECT_GT(wan.receiver().bytes_received(), 100'000u);
-  EXPECT_GT(wan.sender().mib().Timeouts + wan.sender().mib().FastRetran, 0u);
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_reno_factory());
+  wan->device("sender", "receiver").link()->set_loss_rate(0.05, sim::Rng{11});
+  wan->start_flow(0, sim::Time::zero());
+  wan->run_until(20_s);
+  EXPECT_GT(wan->receiver(0).bytes_received(), 100'000u);
+  EXPECT_GT(wan->sender(0).mib().Timeouts + wan->sender(0).mib().FastRetran, 0u);
 }
 
 TEST(TcpIntegrationTest, CwndTraceRecordsDynamics) {
-  WanPath wan{base_config(), scenario::make_reno_factory()};
-  wan.run_bulk_transfer(sim::Time::zero(), 5_s);
-  const auto& trace = wan.sender().cwnd_trace();
+  auto wan = ScenarioBuilder{wan_path_spec(base_config())}.build(scenario::make_reno_factory());
+  wan->start_flow(0, sim::Time::zero());
+  wan->run_until(5_s);
+  const auto& trace = wan->sender(0).cwnd_trace();
   ASSERT_GT(trace.size(), 100u);
   EXPECT_GT(trace.max_value(), 10.0 * 1460);
 }
 
 TEST(TcpIntegrationTest, DelayedAcksRoughlyHalveAckCount) {
-  WanPath::Config cfg = base_config();
+  WanPathConfig cfg = base_config();
   cfg.path.ifq_capacity_packets = 100000;
-  WanPath wan{cfg, scenario::make_reno_factory()};
-  wan.run_bulk_transfer(sim::Time::zero(), 5_s);
-  const double acks = static_cast<double>(wan.receiver().acks_sent());
-  const double pkts = static_cast<double>(wan.receiver().packets_received());
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_reno_factory());
+  wan->start_flow(0, sim::Time::zero());
+  wan->run_until(5_s);
+  const double acks = static_cast<double>(wan->receiver(0).acks_sent());
+  const double pkts = static_cast<double>(wan->receiver(0).packets_received());
   EXPECT_LT(acks, 0.75 * pkts);
   EXPECT_GT(acks, 0.35 * pkts);
 }
 
 TEST(TcpIntegrationTest, DeterministicAcrossRuns) {
   auto run_once = [] {
-    WanPath wan{base_config(), scenario::make_reno_factory()};
-    wan.run_bulk_transfer(sim::Time::zero(), 5_s);
-    return std::tuple{wan.sender().bytes_acked(), wan.sender().mib().SendStall,
-                      wan.sender().mib().PktsOut};
+    auto wan = ScenarioBuilder{wan_path_spec(base_config())}.build(scenario::make_reno_factory());
+    wan->start_flow(0, sim::Time::zero());
+    wan->run_until(5_s);
+    return std::tuple{wan->sender(0).bytes_acked(), wan->sender(0).mib().SendStall,
+                      wan->sender(0).mib().PktsOut};
   };
   EXPECT_EQ(run_once(), run_once());
 }

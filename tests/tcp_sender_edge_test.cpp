@@ -4,138 +4,146 @@
 
 #include <gtest/gtest.h>
 
+#include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
-#include "scenario/wan_path.hpp"
+#include "scenario/presets.hpp"
 #include "workload/apps.hpp"
 
 namespace rss::tcp {
 namespace {
 
 using namespace rss::sim::literals;
-using scenario::WanPath;
+using scenario::ScenarioBuilder;
+using scenario::wan_path_spec;
+using scenario::WanPathConfig;
 
 TEST(TcpSenderEdgeTest, FirstSendStalledWithEmptyPipeRetriesViaTimer) {
   // Fill the IFQ with cross traffic *before* TCP sends its first byte: the
   // very first segment is rejected with nothing in flight, so no ACK will
   // ever clock a retry — the stall-retry timer must.
-  WanPath::Config cfg;
+  WanPathConfig cfg;
   cfg.enable_web100 = false;
-  WanPath wan{cfg, scenario::make_reno_factory()};
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_reno_factory());
 
   // Saturate the NIC: 200 Mbit/s offered into 100 Mbit/s for 0.5 s.
   workload::PoissonPacketSource::Options xopt;
   xopt.dst_node = 2;
   xopt.packets_per_second = 17'000.0;
   xopt.stop = 500_ms;
-  workload::PoissonPacketSource cross{wan.simulation(), wan.sender_node(), xopt};
+  workload::PoissonPacketSource cross{wan->simulation(), wan->node("sender"), xopt};
 
   // Start TCP at 100 ms, well inside the saturation window.
-  wan.simulation().at(100_ms, [&] { wan.sender().set_unlimited(true); });
-  wan.simulation().run_until(5_s);
+  wan->simulation().at(100_ms, [&] { wan->sender(0).set_unlimited(true); });
+  wan->run_until(5_s);
 
-  EXPECT_GT(wan.sender().mib().SendStall, 0u) << "setup failed to provoke a stall";
+  EXPECT_GT(wan->sender(0).mib().SendStall, 0u) << "setup failed to provoke a stall";
   // Despite the initial rejection, the transfer got going.
-  EXPECT_GT(wan.sender().bytes_acked(), 1'000'000u);
+  EXPECT_GT(wan->sender(0).bytes_acked(), 1'000'000u);
 }
 
 TEST(TcpSenderEdgeTest, TotalBlackoutBacksOffExponentially) {
   // 100% loss after startup: every retransmission times out; Timeouts must
   // accumulate slowly (backoff doubling), not once per base RTO.
-  WanPath::Config cfg;
+  WanPathConfig cfg;
   cfg.enable_web100 = false;
   cfg.path.ifq_capacity_packets = 10'000;
-  WanPath wan{cfg, scenario::make_reno_factory()};
-  wan.simulation().at(0_s, [&] { wan.sender().set_unlimited(true); });
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_reno_factory());
+  wan->simulation().at(0_s, [&] { wan->sender(0).set_unlimited(true); });
   // Let it establish, then black out.
-  wan.simulation().at(2_s, [&] { wan.nic().link()->set_loss_rate(0.999999, sim::Rng{1}); });
-  wan.simulation().run_until(62_s);
+  net::PointToPointLink& link = *wan->device("sender", "receiver").link();
+  wan->simulation().at(2_s, [&] { link.set_loss_rate(0.999999, sim::Rng{1}); });
+  wan->run_until(62_s);
 
-  const auto timeouts = wan.sender().mib().Timeouts;
+  const auto timeouts = wan->sender(0).mib().Timeouts;
   EXPECT_GE(timeouts, 3u);
   // 60 s of blackout with doubling from ~0.2 s: 0.2+0.4+...+51.2 ~ 9 shots,
   // plus the 60 s cap. Without backoff we would see hundreds.
   EXPECT_LE(timeouts, 12u);
-  EXPECT_GT(wan.sender().rtt_estimator().backoff_shift(), 2);
+  EXPECT_GT(wan->sender(0).rtt_estimator().backoff_shift(), 2);
 }
 
 TEST(TcpSenderEdgeTest, RecoversAfterBlackoutEnds) {
-  WanPath::Config cfg;
+  WanPathConfig cfg;
   cfg.enable_web100 = false;
   cfg.path.ifq_capacity_packets = 10'000;
-  WanPath wan{cfg, scenario::make_reno_factory()};
-  wan.simulation().at(0_s, [&] { wan.sender().set_unlimited(true); });
-  wan.simulation().at(2_s, [&] { wan.nic().link()->set_loss_rate(0.999999, sim::Rng{1}); });
-  wan.simulation().at(4_s, [&] { wan.nic().link()->set_loss_rate(0.0, sim::Rng{1}); });
-  wan.simulation().run_until(20_s);
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_reno_factory());
+  wan->simulation().at(0_s, [&] { wan->sender(0).set_unlimited(true); });
+  net::PointToPointLink& link = *wan->device("sender", "receiver").link();
+  wan->simulation().at(2_s, [&] { link.set_loss_rate(0.999999, sim::Rng{1}); });
+  wan->simulation().at(4_s, [&] { link.set_loss_rate(0.0, sim::Rng{1}); });
+  wan->run_until(20_s);
 
   const std::uint64_t acked_at_blackout = 2 * 12'500'000 / 2;  // rough bound
-  EXPECT_GT(wan.sender().bytes_acked(), acked_at_blackout);
-  EXPECT_GT(wan.sender().mib().Timeouts, 0u);
+  EXPECT_GT(wan->sender(0).bytes_acked(), acked_at_blackout);
+  EXPECT_GT(wan->sender(0).mib().Timeouts, 0u);
   // After the blackout the flow resumes. Repeated RTOs legitimately
   // collapse ssthresh to 2 MSS, so the post-blackout climb is congestion
   // avoidance from scratch — expect steady progress, not full line rate.
-  const double avg_mbps = static_cast<double>(wan.sender().bytes_acked()) * 8 / 18.0 / 1e6;
+  const double avg_mbps = static_cast<double>(wan->sender(0).bytes_acked()) * 8 / 18.0 / 1e6;
   EXPECT_GT(avg_mbps, 10.0);
 }
 
 TEST(TcpSenderEdgeTest, AdvertisedWindowLimitsFlight) {
-  WanPath::Config cfg;
+  WanPathConfig cfg;
   cfg.enable_web100 = false;
   cfg.receiver.advertised_window = 64 * 1460;  // 64 segments
-  WanPath wan{cfg, scenario::make_reno_factory()};
-  wan.run_bulk_transfer(0_s, 10_s);
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_reno_factory());
+  wan->start_flow(0, 0_s);
+  wan->run_until(10_s);
   // Goodput capped at rwnd/RTT = 64*1460*8/0.06 ~ 12.5 Mbit/s.
-  const double goodput = wan.goodput_mbps(0_s, 10_s);
+  const double goodput = wan->sender(0).goodput_mbps(0_s, 10_s);
   EXPECT_LT(goodput, 14.0);
   EXPECT_GT(goodput, 8.0);
-  EXPECT_EQ(wan.sender().mib().SendStall, 0u);  // flow control, not stalls
+  EXPECT_EQ(wan->sender(0).mib().SendStall, 0u);  // flow control, not stalls
 }
 
 TEST(TcpSenderEdgeTest, AppLimitedTrickleNeverStalls) {
-  WanPath::Config cfg;
+  WanPathConfig cfg;
   cfg.enable_web100 = false;
-  WanPath wan{cfg, scenario::make_reno_factory()};
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_reno_factory());
   workload::OnOffApp::Options opt;
   opt.on_duration = 100_ms;
   opt.off_duration = 400_ms;
   opt.rate = net::DataRate::mbps(2);
-  workload::OnOffApp app{wan.simulation(), wan.sender(), opt};
-  wan.simulation().run_until(10_s);
-  EXPECT_EQ(wan.sender().mib().SendStall, 0u);
+  workload::OnOffApp app{wan->simulation(), wan->sender(0), opt};
+  wan->run_until(10_s);
+  EXPECT_EQ(wan->sender(0).mib().SendStall, 0u);
   // 2 Mbit/s x 100 ms bursts every 500 ms over 10 s ~ 0.5 MB offered.
-  EXPECT_GT(wan.receiver().bytes_received(), 400'000u);
+  EXPECT_GT(wan->receiver(0).bytes_received(), 400'000u);
   // Everything offered was delivered (app-limited, lossless), modulo the
   // final burst still in flight at the cutoff.
-  EXPECT_NEAR(static_cast<double>(wan.receiver().bytes_received()),
+  EXPECT_NEAR(static_cast<double>(wan->receiver(0).bytes_received()),
               static_cast<double>(app.bytes_offered()), 30'000.0);
 }
 
 TEST(TcpSenderEdgeTest, ConstructionValidation) {
-  WanPath::Config cfg;
+  WanPathConfig cfg;
   cfg.enable_web100 = false;
-  EXPECT_THROW(WanPath(cfg, scenario::CcFactory{}), std::invalid_argument);
-  EXPECT_THROW(WanPath(cfg, [] { return std::unique_ptr<CongestionControl>{}; }),
-               std::invalid_argument);
+  const ScenarioBuilder builder{wan_path_spec(cfg)};
+  EXPECT_THROW((void)builder.build(scenario::CcFactory{}), std::invalid_argument);
+  EXPECT_THROW(
+      (void)builder.build([] { return std::unique_ptr<CongestionControl>{}; }),
+      std::invalid_argument);
 }
 
 TEST(TcpSenderEdgeTest, ZeroLengthAppWriteIsNoop) {
-  WanPath::Config cfg;
+  WanPathConfig cfg;
   cfg.enable_web100 = false;
-  WanPath wan{cfg, scenario::make_reno_factory()};
-  wan.sender().app_write(0);
-  wan.simulation().run_until(1_s);
-  EXPECT_EQ(wan.sender().bytes_sent(), 0u);
-  EXPECT_EQ(wan.receiver().packets_received(), 0u);
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_reno_factory());
+  wan->sender(0).app_write(0);
+  wan->run_until(1_s);
+  EXPECT_EQ(wan->sender(0).bytes_sent(), 0u);
+  EXPECT_EQ(wan->receiver(0).packets_received(), 0u);
 }
 
 TEST(TcpSenderEdgeTest, SubMssTailIsDelivered) {
-  WanPath::Config cfg;
+  WanPathConfig cfg;
   cfg.enable_web100 = false;
-  WanPath wan{cfg, scenario::make_reno_factory()};
-  wan.sender().app_write(1460 * 3 + 123);  // three full segments + tail
-  wan.simulation().run_until(5_s);
-  EXPECT_EQ(wan.receiver().bytes_received(), 1460u * 3 + 123);
-  EXPECT_EQ(wan.sender().bytes_acked(), 1460u * 3 + 123);
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_reno_factory());
+  wan->sender(0).app_write(1460 * 3 + 123);  // three full segments + tail
+  wan->run_until(5_s);
+  EXPECT_EQ(wan->receiver(0).bytes_received(), 1460u * 3 + 123);
+  EXPECT_EQ(wan->sender(0).bytes_acked(), 1460u * 3 + 123);
 }
 
 }  // namespace

@@ -5,25 +5,29 @@
 #include <sstream>
 
 #include "net/trace.hpp"
+#include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
-#include "scenario/wan_path.hpp"
+#include "scenario/presets.hpp"
 #include "web100/csv_export.hpp"
 
 namespace rss {
 namespace {
 
 using namespace rss::sim::literals;
-using scenario::WanPath;
+using scenario::ScenarioBuilder;
+using scenario::wan_path_spec;
+using scenario::WanPathConfig;
 
 TEST(PacketTracerTest, RecordsReceivesOnBothEnds) {
-  WanPath::Config cfg;
+  WanPathConfig cfg;
   cfg.enable_web100 = false;
-  WanPath wan{cfg, scenario::make_reno_factory()};
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_reno_factory());
   net::PacketTracer tracer;
-  tracer.attach(wan.receiver_node().device(0));  // data arriving at receiver
-  tracer.attach(wan.nic());                      // ACKs arriving at sender
+  tracer.attach(wan->device("receiver", "sender"));  // data arriving at receiver
+  tracer.attach(wan->device("sender", "receiver"));  // ACKs arriving at sender
 
-  wan.run_bulk_transfer(0_s, 2_s);
+  wan->start_flow(0, 0_s);
+  wan->run_until(2_s);
 
   const auto data_rx = tracer.count([](const net::TraceEvent& e) {
     return e.kind == net::TraceEvent::Kind::kReceive && e.size_bytes > 1000;
@@ -31,43 +35,46 @@ TEST(PacketTracerTest, RecordsReceivesOnBothEnds) {
   const auto ack_rx = tracer.count([](const net::TraceEvent& e) {
     return e.kind == net::TraceEvent::Kind::kReceive && e.size_bytes == 40;
   });
-  EXPECT_EQ(data_rx, wan.receiver().packets_received());
+  EXPECT_EQ(data_rx, wan->receiver(0).packets_received());
   EXPECT_GT(ack_rx, data_rx / 3);  // delayed ACKs: roughly one per two
 }
 
 TEST(PacketTracerTest, ChainingPreservesDelivery) {
   // Attaching the tracer must not break the node's own receive path.
-  WanPath::Config cfg;
+  WanPathConfig cfg;
   cfg.enable_web100 = false;
-  WanPath wan{cfg, scenario::make_reno_factory()};
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_reno_factory());
   net::PacketTracer tracer;
-  tracer.attach(wan.receiver_node().device(0));
-  wan.run_bulk_transfer(0_s, 2_s);
-  EXPECT_GT(wan.receiver().bytes_received(), 1'000'000u);  // still delivered
+  tracer.attach(wan->device("receiver", "sender"));
+  wan->start_flow(0, 0_s);
+  wan->run_until(2_s);
+  EXPECT_GT(wan->receiver(0).bytes_received(), 1'000'000u);  // still delivered
   EXPECT_GT(tracer.size(), 100u);
 }
 
 TEST(PacketTracerTest, RecordsSendStallsAsDrops) {
-  WanPath::Config cfg;
+  WanPathConfig cfg;
   cfg.enable_web100 = false;
-  WanPath wan{cfg, scenario::make_reno_factory()};
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_reno_factory());
   net::PacketTracer tracer;
-  tracer.attach(wan.nic());
-  wan.run_bulk_transfer(0_s, 5_s);
+  tracer.attach(wan->device("sender", "receiver"));
+  wan->start_flow(0, 0_s);
+  wan->run_until(5_s);
   const auto drops = tracer.count(
       [](const net::TraceEvent& e) { return e.kind == net::TraceEvent::Kind::kDrop; });
-  EXPECT_EQ(drops, wan.sender().mib().SendStall);
+  EXPECT_EQ(drops, wan->sender(0).mib().SendStall);
   EXPECT_GT(drops, 0u);
 }
 
 TEST(PacketTracerTest, FlowFilterAndDump) {
-  WanPath::Config cfg;
+  WanPathConfig cfg;
   cfg.enable_web100 = false;
   cfg.flow_id = 42;
-  WanPath wan{cfg, scenario::make_reno_factory()};
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_reno_factory());
   net::PacketTracer tracer;
-  tracer.attach(wan.receiver_node().device(0));
-  wan.run_bulk_transfer(0_s, 1_s);
+  tracer.attach(wan->device("receiver", "sender"));
+  wan->start_flow(0, 0_s);
+  wan->run_until(1_s);
 
   const auto flow_events = tracer.for_flow(42);
   EXPECT_EQ(flow_events.size(), tracer.size());
@@ -83,13 +90,14 @@ TEST(PacketTracerTest, FlowFilterAndDump) {
 }
 
 TEST(CsvExportTest, RectangularOutputWithHeader) {
-  WanPath::Config cfg;
+  WanPathConfig cfg;
   cfg.web100_poll_period = 100_ms;
-  WanPath wan{cfg, scenario::make_reno_factory()};
-  wan.run_bulk_transfer(0_s, 2_s);
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_reno_factory());
+  wan->start_flow(0, 0_s);
+  wan->run_until(2_s);
 
   std::ostringstream os;
-  const auto rows = web100::export_csv(*wan.agent(), os,
+  const auto rows = web100::export_csv(*wan->agent(0), os,
                                        {"SendStall", "CurCwnd", "ThruBytesAcked"}, 0_s,
                                        2_s, 500_ms);
   EXPECT_EQ(rows, 5u);  // t = 0, 0.5, 1.0, 1.5, 2.0
@@ -104,14 +112,15 @@ TEST(CsvExportTest, RectangularOutputWithHeader) {
 }
 
 TEST(CsvExportTest, AllVariablesOverloadAndValidation) {
-  WanPath::Config cfg;
-  WanPath wan{cfg, scenario::make_reno_factory()};
-  wan.run_bulk_transfer(0_s, 1_s);
+  WanPathConfig cfg;
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_reno_factory());
+  wan->start_flow(0, 0_s);
+  wan->run_until(1_s);
   std::ostringstream os;
-  EXPECT_GT(web100::export_csv(*wan.agent(), os, 0_s, 1_s, 100_ms), 0u);
-  EXPECT_THROW(web100::export_csv(*wan.agent(), os, {}, 0_s, 1_s, 100_ms),
+  EXPECT_GT(web100::export_csv(*wan->agent(0), os, 0_s, 1_s, 100_ms), 0u);
+  EXPECT_THROW(web100::export_csv(*wan->agent(0), os, {}, 0_s, 1_s, 100_ms),
                std::invalid_argument);
-  EXPECT_THROW(web100::export_csv(*wan.agent(), os, 0_s, 1_s, 0_ms), std::invalid_argument);
+  EXPECT_THROW(web100::export_csv(*wan->agent(0), os, 0_s, 1_s, 0_ms), std::invalid_argument);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
-#include "scenario/wan_path.hpp"
+#include "scenario/presets.hpp"
 #include "tcp/tahoe.hpp"
 #include "tcp/vegas.hpp"
 
@@ -12,7 +13,9 @@ namespace rss::tcp {
 namespace {
 
 using namespace rss::sim::literals;
-using scenario::WanPath;
+using scenario::ScenarioBuilder;
+using scenario::wan_path_spec;
+using scenario::WanPathConfig;
 
 class MockHost final : public CcHost {
  public:
@@ -49,13 +52,14 @@ TEST(TahoeTest, FastRetransmitCollapsesToOneMss) {
 
 TEST(TahoeTest, UnderperformsRenoUnderLoss) {
   auto run = [](const scenario::CcFactory& f) {
-    WanPath::Config cfg;
+    WanPathConfig cfg;
     cfg.enable_web100 = false;
     cfg.path.ifq_capacity_packets = 100'000;
-    WanPath wan{cfg, f};
-    wan.nic().link()->set_loss_rate(0.003, sim::Rng{17});
-    wan.run_bulk_transfer(0_s, 20_s);
-    return wan.goodput_mbps(0_s, 20_s);
+    auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(f);
+    wan->device("sender", "receiver").link()->set_loss_rate(0.003, sim::Rng{17});
+    wan->start_flow(0, 0_s);
+    wan->run_until(20_s);
+    return wan->sender(0).goodput_mbps(0_s, 20_s);
   };
   const double tahoe = run(scenario::make_tahoe_factory());
   const double reno = run(scenario::make_reno_factory());
@@ -124,20 +128,21 @@ TEST(VegasTest, AvoidsLossOnThePaperPathButSlower) {
   // Vegas throttles on RTT inflation, so it too avoids IFQ overflow — at
   // the cost of hovering lower than RSS (it backs off at the *path* queue,
   // not at 90% of the local IFQ).
-  WanPath::Config cfg;
+  WanPathConfig cfg;
   cfg.enable_web100 = false;
-  WanPath wan{cfg, scenario::make_vegas_factory()};
-  wan.run_bulk_transfer(0_s, 25_s);
-  EXPECT_LE(wan.sender().mib().SendStall, 1u);
-  EXPECT_GT(wan.goodput_mbps(0_s, 25_s), 40.0);
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_vegas_factory());
+  wan->start_flow(0, 0_s);
+  wan->run_until(25_s);
+  EXPECT_LE(wan->sender(0).mib().SendStall, 1u);
+  EXPECT_GT(wan->sender(0).goodput_mbps(0_s, 25_s), 40.0);
 }
 
 TEST(FactoryRegistryTest, NamesResolveAndMatchAlgorithms) {
   for (const auto& name : scenario::variant_names()) {
-    WanPath::Config cfg;
+    WanPathConfig cfg;
     cfg.enable_web100 = false;
-    WanPath wan{cfg, scenario::factory_by_name(name)};
-    EXPECT_EQ(wan.sender().congestion_control().name(), name);
+    auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::factory_by_name(name));
+    EXPECT_EQ(wan->sender(0).congestion_control().name(), name);
   }
   EXPECT_THROW(scenario::factory_by_name("bbr"), std::invalid_argument);
 }
