@@ -45,13 +45,15 @@ struct Args {
   bool csv{false};
 };
 
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(stderr,
+/// Prints usage and exits: to stdout with 0 for --help, to stderr with 2
+/// for a bad flag or value.
+[[noreturn]] void usage(const char* argv0, int code = 2) {
+  std::fprintf(code == 0 ? stdout : stderr,
                "usage: %s [--variant NAME] [--rtt MS] [--ifq PKTS] [--rate MBPS]\n"
                "          [--duration S] [--loss P] [--jitter MS] [--cross MBPS]\n"
                "          [--seed N] [--csv]\n",
                argv0);
-  std::exit(2);
+  std::exit(code);
 }
 
 Args parse(int argc, char** argv) {
@@ -82,6 +84,8 @@ Args parse(int argc, char** argv) {
       a.seed = static_cast<std::uint64_t>(std::atoll(value()));
     } else if (flag == "--csv") {
       a.csv = true;
+    } else if (flag == "--help" || flag == "-h") {
+      usage(argv[0], 0);
     } else {
       usage(argv[0]);
     }

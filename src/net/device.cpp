@@ -27,22 +27,13 @@ NetDevice::TxResult NetDevice::send(const Packet& p) {
 }
 
 void NetDevice::try_start_tx() {
-  if (busy_) return;
-  // Back-to-back equal-size packets (line-rate bursts: MSS data segments
-  // one way, 40-byte ACKs the other) serialize one slot apart, so the whole
-  // run is armed as a single batched event train — one queue entry and one
-  // callback instead of one heap push per packet. Packets still leave the
-  // IFQ one at a time at their serialization start, so queue occupancy (the
-  // PID process variable and RED's input) is identical to the chained form.
-  // Under a fluid share the slot length depends on the share at arming
-  // time, which the coupling may change between any two completions — so
-  // trains are disabled (run of one) and every slot is stretched to the
-  // residual rate (1 − share).
-  const std::size_t run = ifq_->equal_size_run(fluid_share_ > 0.0 ? 1 : kMaxTxTrain);
-  if (run == 0) return;
+  if (busy_ || ifq_->empty()) return;
+  // One completion event per packet, chained from complete_tx(). Under a
+  // fluid share the slot is stretched to the residual rate (1 − share),
+  // read at each packet's start because the coupling may change the share
+  // between any two completions.
   busy_ = true;
   serializing_ = *ifq_->dequeue();
-  train_left_ = run;
   sim::Time slot = rate_.transmission_time(serializing_.size_bytes());
   if (fluid_share_ > 0.0) {
     const double stretched =
@@ -52,22 +43,13 @@ void NetDevice::try_start_tx() {
   const auto fire = [this] { complete_tx(); };
   static_assert(sizeof(fire) <= sim::InlineCallback::kCapacity,
                 "serialization callback must stay inline on the scheduler hot path");
-  sim_.train(sim_.now() + slot, slot, run, fire);
+  sim_.in(slot, fire);
 }
 
 void NetDevice::complete_tx() {
   const Packet p = serializing_;
   ++stats_.tx_packets;
   stats_.tx_bytes += p.size_bytes();
-  --train_left_;
-  if (train_left_ > 0) {
-    // Train continues: the next equal-size packet starts serializing now.
-    // The head run was counted when the train was armed and nothing else
-    // dequeues, so this packet is guaranteed present and same-sized.
-    serializing_ = *ifq_->dequeue();
-    if (link_) link_->transmit_from(*this, p);
-    return;
-  }
   busy_ = false;
   if (link_) link_->transmit_from(*this, p);
   try_start_tx();

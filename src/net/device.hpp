@@ -85,9 +85,9 @@ class NetDevice {
   [[nodiscard]] std::size_t ifq_capacity() const { return ifq_->capacity_packets(); }
 
   /// Fraction of line rate consumed by a fluid aggregate sharing this
-  /// device (0 = all-packet). While nonzero, packet serialization slots are
-  /// stretched to rate·(1 − share) and event trains are disabled so the
-  /// share can change between any two completions.
+  /// device (0 = all-packet). While nonzero, each packet's serialization
+  /// slot is stretched to rate·(1 − share), read when that packet starts,
+  /// so the share can change between any two completions.
   void set_fluid_share(double share);
   [[nodiscard]] double fluid_share() const { return fluid_share_; }
 
@@ -102,10 +102,6 @@ class NetDevice {
   [[nodiscard]] std::uint32_t event_origin() const { return event_origin_; }
 
  private:
-  /// Longest serialization train armed in one go. Bounds how far ahead the
-  /// IFQ head run is inspected; runs longer than this simply chain trains.
-  static constexpr std::size_t kMaxTxTrain = 64;
-
   void try_start_tx();
   void complete_tx();
 
@@ -121,8 +117,6 @@ class NetDevice {
   /// closure) so the serialization callback captures only `this` and stays
   /// within the scheduler's inline-callback budget.
   Packet serializing_{};
-  /// Completions left in the current serialization train (0 when idle).
-  std::uint64_t train_left_{0};
   double fluid_share_{0.0};
   std::uint32_t event_origin_{0};
   bool busy_{false};

@@ -88,17 +88,8 @@ std::unique_ptr<Scenario> ScenarioBuilder::build(const FlowCcFactory& cc_factory
   if (!cc_factory)
     throw TopologyError(Code::kNullCcFactory,
                         "ScenarioBuilder: null congestion-control factory");
-  validate_topology(spec_);
-  RouteTable routes = compute_routes(spec_);
-
-  // Routability is a spec property, so reject before wiring anything.
-  for (const auto& flow : spec_.flows) {
-    const std::size_t src = *node_index(spec_, flow.src);
-    const std::size_t dst = *node_index(spec_, flow.dst);
-    if (!routes.reachable(src, dst))
-      throw TopologyError(Code::kUnroutableFlow,
-                          "topology: no path from '" + flow.src + "' to '" + flow.dst + "'");
-  }
+  // Route-level spec errors are rejected before wiring anything.
+  RouteTable routes = checked_routes(spec_);
 
   // Fluid pre-pass: walk every flow's route once. Fluid routes are pinned
   // into one partition (their integration must stay local) and their

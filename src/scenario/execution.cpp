@@ -10,11 +10,14 @@ std::size_t ExecutionPolicy::hardware_threads() {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
+std::size_t ExecutionPolicy::resolve_budget(std::size_t requested) {
+  if (requested == 0) requested = execution_defaults().thread_budget;
+  return requested != 0 ? requested : hardware_threads();
+}
+
 std::size_t ExecutionPolicy::resolve_threads(std::size_t work_items) const {
-  std::size_t budget = threads;
-  if (budget == 0) budget = execution_defaults().thread_budget;
-  if (budget == 0) budget = hardware_threads();
-  return std::clamp<std::size_t>(budget, 1, std::max<std::size_t>(work_items, 1));
+  return std::clamp<std::size_t>(resolve_budget(threads), 1,
+                                 std::max<std::size_t>(work_items, 1));
 }
 
 ExecutionDefaults& execution_defaults() {

@@ -39,10 +39,14 @@ struct ExecutionPolicy {
   /// 0 = "unknown" report mapped to 1.
   [[nodiscard]] static std::size_t hardware_threads();
 
+  /// The thread budget a request resolves to: `requested` itself, or when
+  /// it is 0 the process-wide default (execution_defaults()), or when that
+  /// is 0 too hardware_threads(). Never 0.
+  [[nodiscard]] static std::size_t resolve_budget(std::size_t requested);
+
   /// Worker count for `work_items` independent work items under this
-  /// policy's thread budget: min(budget, work_items), never 0. A zero
-  /// budget falls back to the process-wide default (execution_defaults()),
-  /// then to hardware_threads().
+  /// policy's thread budget (resolve_budget(threads)): min(budget,
+  /// work_items), never 0.
   [[nodiscard]] std::size_t resolve_threads(std::size_t work_items) const;
 };
 

@@ -129,9 +129,7 @@ metrics::Table run_spec_document(const JsonValue& document, const ExecFlags& exe
   // an equal share of what remains — nested parallelism (sweep x engine)
   // never oversubscribes.
   for (auto& point : points) exec.apply(point.spec.topology.execution);
-  std::size_t budget = exec.jobs;
-  if (budget == 0) budget = execution_defaults().thread_budget;
-  if (budget == 0) budget = ExecutionPolicy::hardware_threads();
+  const std::size_t budget = ExecutionPolicy::resolve_budget(exec.jobs);
   const std::size_t workers =
       std::clamp<std::size_t>(budget, 1, std::max<std::size_t>(points.size(), 1));
   for (auto& point : points) {
@@ -190,6 +188,17 @@ std::vector<std::string> preset_names() {
   return {"wanpath", "dumbbell", "parkinglot", "chain", "scale", "scale_fluid"};
 }
 
+namespace {
+
+/// preset_names() as one comma-separated line, for usage and errors.
+std::string preset_list() {
+  std::string list;
+  for (const auto& name : preset_names()) list += (list.empty() ? "" : ", ") + name;
+  return list;
+}
+
+}  // namespace
+
 ScenarioSpec preset_spec(const std::string& name) {
   ScenarioSpec spec;
   spec.name = name;
@@ -226,9 +235,7 @@ ScenarioSpec preset_spec(const std::string& name) {
     cfg.execution.partitions = 4;
     spec.topology = scale_mesh_spec(cfg);
   } else {
-    throw std::invalid_argument(
-        "unknown preset: " + name +
-        " (known: wanpath, dumbbell, parkinglot, chain, scale, scale_fluid)");
+    throw std::invalid_argument("unknown preset: " + name + " (known: " + preset_list() + ")");
   }
   spec.flow_cc.assign(spec.topology.flows.size(), "reno");
   return spec;
@@ -248,7 +255,7 @@ int usage(const char* argv0) {
                "  --validate <file...>     parse + topology-check spec files (and every\n"
                "                           sweep point); exit 0 iff all are valid\n"
                "  --emit-preset <name>     dump a C++ topology preset as a spec file\n"
-               "                           (wanpath, dumbbell, parkinglot, chain)\n"
+               "                           (%s)\n"
                "  --list-presets           list the emittable presets\n"
                "  --roundtrip              self-check: every preset emits, re-parses and\n"
                "                           re-serializes byte-identically, and the\n"
@@ -257,7 +264,7 @@ int usage(const char* argv0) {
                "options:\n"
                "  --out <path>             write CSV/spec output here (default: stdout)\n"
                "%s",
-               argv0, ExecFlags::help());
+               argv0, preset_list().c_str(), ExecFlags::help());
   return 2;
 }
 

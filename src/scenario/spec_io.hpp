@@ -182,10 +182,10 @@ struct ScenarioSpec {
 /// throws std::runtime_error when the file cannot be opened.
 [[nodiscard]] std::string read_spec_file(const std::string& path);
 
-/// Graph-level validation: runs validate_topology plus the routability
-/// check on every flow. Throws TopologyError (the same typed errors the
-/// builder raises), so --validate reports dangling link endpoints et al.
-/// before any simulation is attempted.
+/// Graph-level validation: runs checked_routes, the same route-level
+/// checks the builder makes. Throws TopologyError, so --validate reports
+/// dangling link endpoints, unroutable flows et al. before any simulation
+/// is attempted.
 void check_scenario_spec(const ScenarioSpec& spec);
 
 /// Serialize back to the canonical file form. Defaults are elided (a field

@@ -144,4 +144,38 @@ std::size_t RouteTable::hops(std::size_t from, std::size_t to) const {
   return count;
 }
 
+RouteTable checked_routes(const TopologySpec& spec) {
+  using Code = TopologyError::Code;
+  validate_topology(spec);
+  RouteTable routes = compute_routes(spec);
+  const auto index = index_nodes(spec);
+  // Spec link indices per node, in device order (see compute_routes).
+  std::vector<std::vector<std::size_t>> links_at(spec.nodes.size());
+  for (std::size_t l = 0; l < spec.links.size(); ++l) {
+    links_at[index.at(spec.links[l].a)].push_back(l);
+    links_at[index.at(spec.links[l].b)].push_back(l);
+  }
+  for (std::size_t f = 0; f < spec.flows.size(); ++f) {
+    const auto& flow = spec.flows[f];
+    const std::size_t src = index.at(flow.src);
+    const std::size_t dst = index.at(flow.dst);
+    if (!routes.reachable(src, dst))
+      throw TopologyError(Code::kUnroutableFlow,
+                          "topology: no path from '" + flow.src + "' to '" + flow.dst + "'");
+    if (flow.model != TrafficModel::kFluid || flow.fluid.rtt != sim::Time::zero()) continue;
+    sim::Time one_way = sim::Time::zero();
+    for (std::size_t n = src; n != dst;) {
+      const std::size_t dev = routes.egress(n, dst);
+      one_way += spec.links[links_at[n][dev]].delay;
+      n = routes.adjacency[n][dev].first;
+    }
+    if (one_way == sim::Time::zero())
+      throw TopologyError(Code::kZeroFluidRtt,
+                          "topology: fluid flow " + std::to_string(f) + " ('" + flow.src +
+                              "' -> '" + flow.dst +
+                              "') has no rtt and a zero-delay route, so its RTT would be 0");
+  }
+  return routes;
+}
+
 }  // namespace rss::scenario

@@ -144,6 +144,7 @@ class TopologyError : public std::invalid_argument {
     kBadExecution,     ///< invalid ExecutionPolicy (e.g. partitions == 0)
     kZeroLatencyCut,   ///< a cross-partition link has zero latency (no lookahead)
     kFluidRouteCut,    ///< a partitioning splits a fluid flow's route across partitions
+    kZeroFluidRtt,     ///< a fluid flow with no rtt rides a zero-delay route
   };
 
   TopologyError(Code code, const std::string& what)
@@ -187,6 +188,12 @@ void validate_topology(const TopologySpec& spec);
 
 /// All-pairs shortest-path routes for a structurally valid spec.
 [[nodiscard]] RouteTable compute_routes(const TopologySpec& spec);
+
+/// validate_topology + compute_routes, then the rules that need a route:
+/// every flow is routable, and a fluid flow with no `rtt` has a nonzero
+/// route delay (its RTT defaults to twice that). Throws TopologyError.
+/// Shared by ScenarioBuilder::build and check_scenario_spec.
+[[nodiscard]] RouteTable checked_routes(const TopologySpec& spec);
 
 /// Index of a node name in spec.nodes, or nullopt.
 [[nodiscard]] std::optional<std::size_t> node_index(const TopologySpec& spec,

@@ -25,8 +25,9 @@ concept InlineCallbackInvocable =
     std::is_invocable_r_v<void, std::remove_cvref_t<F>&>;
 
 /// Whether a callable fits the inline buffer. Nothrow move construction is
-/// required because the scheduler relocates callbacks (arena growth, train
-/// continuation) at points where an exception would corrupt the event queue.
+/// required because the scheduler relocates callbacks (arena growth, moving
+/// a callback out before it fires) at points where an exception would
+/// corrupt the event queue.
 template <typename F>
 concept InlineCallbackStorable =
     sizeof(std::remove_cvref_t<F>) <= kInlineCallbackCapacity &&

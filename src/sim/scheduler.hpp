@@ -16,11 +16,11 @@ namespace rss::sim {
 /// Exists only for perfbench/layers.cpp's `Scheduler{ExecutionPolicy{}.resolve_backend(n)}`.
 enum class QueueBackend { kBinaryHeap };
 
-/// Opaque handle to a scheduled event (or event train), used for
-/// cancellation. Encodes an arena slot index plus a generation counter, so
-/// a handle to a fired/cancelled event can never accidentally cancel the
-/// unrelated event that later reuses its slot. Default constructed handles
-/// are inert (cancel() on them is a no-op).
+/// Opaque handle to a scheduled event, used for cancellation. Encodes an
+/// arena slot index plus a generation counter, so a handle to a
+/// fired/cancelled event can never accidentally cancel the unrelated event
+/// that later reuses its slot. Default constructed handles are inert
+/// (cancel() on them is a no-op).
 class EventId {
  public:
   constexpr EventId() = default;
@@ -72,7 +72,7 @@ class Scheduler {
 
   /// Schedule `cb` at absolute time `at` (must be >= now()).
   EventId schedule_at(Time at, Callback cb) {
-    return arm(at, Time::zero(), 1, std::move(cb), now_, 0);
+    return arm(at, std::move(cb), 0);
   }
 
   /// Schedule `cb` after relative delay `delay` (must be >= 0).
@@ -88,7 +88,7 @@ class Scheduler {
   /// in one shared scheduler or its own partition's. Origin 0 is the
   /// default stream used by every un-ranked schedule_* call.
   EventId schedule_at_ranked(std::uint32_t origin, Time at, Callback cb) {
-    return arm(at, Time::zero(), 1, std::move(cb), now_, origin);
+    return arm(at, std::move(cb), origin);
   }
 
   /// Relative-delay form of schedule_at_ranked.
@@ -105,7 +105,7 @@ class Scheduler {
                                Time at, Callback cb) {
     if (birth > at)
       throw std::invalid_argument("Scheduler: event born after its own fire time");
-    return arm_with_rank(at, Time::zero(), 1, std::move(cb), birth, origin, rank);
+    return arm_with_rank(at, std::move(cb), birth, origin, rank);
   }
 
   /// Consume and return the next rank of `origin`'s tie-break stream
@@ -124,19 +124,9 @@ class Scheduler {
     if (count > next_rank_.size()) next_rank_.resize(count, 1);
   }
 
-  /// Schedule an event *train*: `cb` fires `count` times, at `start`,
-  /// `start + stride`, ... Back-to-back packet serializations at line rate
-  /// are exactly this shape, and a train costs one arena slot and one
-  /// callback for the whole burst — each firing re-enqueues the same entry
-  /// with a fresh insertion sequence drawn at fire time, which makes the
-  /// train byte-identical in pop order to `count` chained schedule_at calls
-  /// (the pattern it replaces). The returned id covers the whole train:
-  /// cancel() stops all remaining firings, including from inside `cb`.
-  EventId schedule_train(Time start, Time stride, std::uint64_t count, Callback cb);
-
-  /// Cancel a pending event or train. Safe to call with an already-fired,
-  /// already-cancelled, or default-constructed id; returns true iff
-  /// something was actually cancelled.
+  /// Cancel a pending event. Safe to call with an already-fired, already-
+  /// cancelled, or default-constructed id; returns true iff something was
+  /// actually cancelled.
   bool cancel(EventId id);
 
   /// Run until the queue is empty or `stop()` is called.
@@ -154,9 +144,7 @@ class Scheduler {
   void stop() { stop_requested_ = true; }
 
   [[nodiscard]] bool empty() const { return live_ == 0; }
-  /// Live (pending, uncancelled) events. A train counts as one pending
-  /// event regardless of remaining firings, matching the chained-schedule
-  /// pattern it replaces (which also has exactly one event in flight).
+  /// Live (pending, uncancelled) events.
   [[nodiscard]] std::size_t pending() const { return live_; }
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
@@ -169,14 +157,10 @@ class Scheduler {
   [[nodiscard]] Time next_event_time() const;
 
  private:
-  /// Arena slot: owns the callback and the bookkeeping shared by one-shot
-  /// events (remaining == 1) and trains (remaining > 1).
+  /// Arena slot: owns one pending event's callback.
   struct Slot {
     Callback cb;
-    Time stride;
-    std::uint64_t remaining{0};
     std::uint32_t gen{1};
-    std::uint32_t origin{0};
     bool armed{false};
   };
   struct Later {
@@ -187,10 +171,10 @@ class Scheduler {
     }
   };
 
-  EventId arm(Time at, Time stride, std::uint64_t count, Callback cb, Time birth,
-              std::uint32_t origin);
-  EventId arm_with_rank(Time at, Time stride, std::uint64_t count, Callback cb, Time birth,
-                        std::uint32_t origin, std::uint64_t rank);
+  /// Arm at birth = now() with the next rank of `origin`'s stream.
+  EventId arm(Time at, Callback cb, std::uint32_t origin);
+  EventId arm_with_rank(Time at, Callback cb, Time birth, std::uint32_t origin,
+                        std::uint64_t rank);
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
   /// Pop dead (cancelled) entries off the top of the heap. Called at cancel

@@ -48,13 +48,6 @@ class Simulation {
                       Scheduler::Callback cb) {
     return scheduler_.schedule_at_imported(origin, rank, birth, t, std::move(cb));
   }
-  /// Batched event train: `cb` fires `count` times at `start`,
-  /// `start + stride`, ... — one queue entry and one callback for the whole
-  /// burst (see Scheduler::schedule_train). NetDevice uses this for
-  /// back-to-back packet serializations at line rate.
-  EventId train(Time start, Time stride, std::uint64_t count, Scheduler::Callback cb) {
-    return scheduler_.schedule_train(start, stride, count, std::move(cb));
-  }
   bool cancel(EventId id) { return scheduler_.cancel(id); }
 
   void run() { scheduler_.run(); }

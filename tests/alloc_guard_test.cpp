@@ -1,8 +1,8 @@
 // Zero-allocation invariant for the event core, enforced at runtime.
 //
 // PR 3's headline claim is that the steady-state scheduler hot path —
-// schedule / cancel / reschedule (the per-ACK RTO pattern) and the
-// schedule_train pop loop (packet serialization bursts) — performs no heap
+// schedule / cancel / reschedule (the per-ACK RTO pattern) and the chained
+// one-shot pop loop (packet serialization bursts) — performs no heap
 // allocation. scripts/lint_invariants.py bans the allocating *constructs*
 // statically; this suite counts actual operator-new calls via the
 // sim/alloc_guard.hpp hook and asserts the count is exactly zero once the
@@ -77,40 +77,35 @@ TEST(AllocGuard, SteadyStateScheduleCancelRescheduleIsAllocFree) {
   EXPECT_EQ(s.arena_slots(), warm_slots) << "slot arena grew in steady state";
 }
 
-TEST(AllocGuard, SteadyStateTrainPopLoopIsAllocFree) {
+/// NetDevice's drain pattern: each firing arms the next one-shot from inside
+/// its own callback (one slot release and one acquire per packet).
+TEST(AllocGuard, SteadyStateChainedPopLoopIsAllocFree) {
+  struct Chain {
+    Scheduler& s;
+    std::uint64_t fired{0};
+    std::uint64_t left{0};
+    void fire() {
+      ++fired;
+      if (--left > 0) s.schedule_in(12_us, [this] { fire(); });
+    }
+  };
   Scheduler s;
-  std::uint64_t fired = 0;
-  auto run_train = [&] {
-    s.schedule_train(s.now() + 1_us, 12_us, 3000, [&fired] { ++fired; });
+  Chain chain{s};
+  auto run_chain = [&] {
+    chain.left = 3000;
+    s.schedule_in(1_us, [&chain] { chain.fire(); });
     s.run();
   };
-  run_train();  // warm-up
-  ASSERT_EQ(fired, 3000u);
+  run_chain();  // warm-up
+  ASSERT_EQ(chain.fired, 3000u);
 
   const alloc_guard::AllocScope scope;
-  run_train();
-  EXPECT_EQ(fired, 6000u);
+  run_chain();
+  EXPECT_EQ(chain.fired, 6000u);
   EXPECT_EQ(scope.allocations(), 0u)
-      << "steady-state train pop loop allocated " << scope.allocations() << " times ("
+      << "steady-state chained pop loop allocated " << scope.allocations() << " times ("
       << scope.bytes() << " bytes)";
-}
-
-TEST(AllocGuard, CancelInsideTrainStaysAllocFree) {
-  Scheduler s;
-  auto round = [&] {
-    std::uint64_t fired = 0;
-    EventId id{};
-    id = s.schedule_train(s.now() + 1_us, 5_us, 1000, [&] {
-      if (++fired == 100) s.cancel(id);
-    });
-    s.run();
-    EXPECT_EQ(fired, 100u);
-  };
-  round();  // warm-up: arena slot + heap storage
-
-  const alloc_guard::AllocScope scope;
-  round();
-  EXPECT_EQ(scope.allocations(), 0u);
+  EXPECT_EQ(s.arena_slots(), 1u) << "a chain holds one event in flight";
 }
 
 /// Steady-state partitioned window loop: once the handoff channels' staging

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "net/link.hpp"
 #include "net/queue.hpp"
 #include "sim/simulation.hpp"
@@ -105,6 +107,30 @@ TEST(NetDeviceTest, DrainRateMatchesLineRate) {
   h.sim.run();
   EXPECT_EQ(h.sim.now(), 12_ms);
   EXPECT_EQ(h.received_at_b.size(), 100u);
+}
+
+TEST(NetDeviceTest, MixedSizeBurstCompletesAtCumulativeSerializationTimes) {
+  // MSS data segments and 40 B ACKs interleaved in one IFQ, with equal-size
+  // runs of one, two and three: every packet must leave exactly when the
+  // serializations queued ahead of it (and its own) are done.
+  Harness h{DataRate::mbps(100), 20, 0_ms};
+  const std::vector<std::uint32_t> payloads{1460, 0, 0, 1460, 1460, 0, 1460, 0, 0, 0, 1460};
+  std::vector<sim::Time> arrivals;
+  h.b.set_receive_callback([&](const Packet&, NetDevice&) { arrivals.push_back(h.sim.now()); });
+  for (std::uint64_t i = 0; i < payloads.size(); ++i)
+    ASSERT_EQ(h.a.send(make_packet(payloads[i], i)), NetDevice::TxResult::kQueued);
+  h.sim.run();
+
+  ASSERT_EQ(arrivals.size(), payloads.size());
+  sim::Time done = sim::Time::zero();
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    done += h.a.rate().transmission_time(make_packet(payloads[i]).size_bytes());
+    EXPECT_EQ(arrivals[i], done) << "packet " << i;
+  }
+  // 5 × 1500 B at 120 us plus 6 × 40 B at 3.2 us.
+  EXPECT_EQ(done, 600_us + sim::Time::nanoseconds(19'200));
+  EXPECT_EQ(h.a.stats().tx_packets, payloads.size());
+  EXPECT_FALSE(h.a.transmitting());
 }
 
 TEST(NetDeviceTest, ValidatesConstruction) {

@@ -1,8 +1,7 @@
 // Property suite for the event core: randomized schedules must execute in
 // exact (time, insertion) order, and random cancellations must never fire.
 // Also covers the allocation-free machinery underneath: slot-arena reuse
-// under reschedule storms, and schedule_train equivalence with chained
-// one-shot scheduling.
+// under reschedule storms.
 
 #include <gtest/gtest.h>
 
@@ -106,57 +105,6 @@ TEST_P(RandomScheduleTest, RescheduleStormRecyclesArenaSlots) {
   EXPECT_LE(s.arena_slots(), peak_pending);
   EXPECT_EQ(s.pending(), 0u);
   EXPECT_EQ(s.events_executed(), fired);
-}
-
-// schedule_train must be observationally identical to the chained
-// self-rescheduling pattern it replaces: same firing times, same now() at
-// each firing, same interleaving with independently scheduled events.
-TEST_P(RandomScheduleTest, TrainMatchesChainedScheduling) {
-  const auto plan = GetParam();
-  const auto stride = Time::nanoseconds(std::max<std::int64_t>(plan.horizon_ns / 64, 1));
-  const std::uint64_t count = 16;
-
-  struct Firing {
-    std::int64_t at;
-    int label;
-  };
-  const auto run_one = [&](bool use_train) {
-    std::vector<Firing> log;
-    Scheduler s;
-    Rng rng{plan.seed ^ 0x1234};
-    // Background noise events across the train's span.
-    for (std::size_t i = 0; i < plan.events / 4 + 4; ++i) {
-      const Time at = Time::nanoseconds(static_cast<std::int64_t>(rng.next_in(
-          0, static_cast<std::uint64_t>(stride.nanoseconds_count()) * (count + 1))));
-      s.schedule_at(at, [&log, &s] { log.push_back({s.now().nanoseconds_count(), 0}); });
-    }
-    if (use_train) {
-      s.schedule_train(stride, stride, count,
-                       [&log, &s] { log.push_back({s.now().nanoseconds_count(), 1}); });
-    } else {
-      struct Chain {
-        Scheduler* s;
-        std::vector<Firing>* log;
-        Time stride;
-        std::uint64_t left;
-        void operator()() const {
-          log->push_back({s->now().nanoseconds_count(), 1});
-          if (left > 1) s->schedule_in(stride, Chain{s, log, stride, left - 1});
-        }
-      };
-      s.schedule_at(stride, Chain{&s, &log, stride, count});
-    }
-    s.run();
-    return log;
-  };
-
-  const auto train = run_one(true);
-  const auto chain = run_one(false);
-  ASSERT_EQ(train.size(), chain.size());
-  for (std::size_t i = 0; i < train.size(); ++i) {
-    EXPECT_EQ(train[i].at, chain[i].at) << "firing " << i;
-    EXPECT_EQ(train[i].label, chain[i].label) << "firing " << i;
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

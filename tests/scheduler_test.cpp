@@ -4,9 +4,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -195,85 +193,6 @@ TEST(SchedulerTest, RunUntilInfinityDrainsAndReturns) {
   EXPECT_EQ(fired, 3);
   EXPECT_EQ(s.now(), Time::infinity());
   EXPECT_TRUE(s.empty());
-}
-
-// schedule_train semantics: firing times, run_until splits mid-train,
-// external cancellation of the remnant, and the pending-count contract (a
-// train is ONE pending event).
-TEST(SchedulerTest, TrainFiresCountTimesAtStride) {
-  Scheduler s;
-  std::vector<std::int64_t> fire_ns;
-  const EventId id = s.schedule_train(
-      1_ms, 250_us, 5, [&fire_ns, &s] { fire_ns.push_back(s.now().nanoseconds_count()); });
-  EXPECT_TRUE(id.valid());
-  EXPECT_EQ(s.pending(), 1u);
-
-  // Split the train across a run_until boundary.
-  s.run_until(Time::microseconds(1'250));
-  EXPECT_EQ(fire_ns.size(), 2u);
-  EXPECT_EQ(s.pending(), 1u);  // remnant still counts as one pending event
-
-  s.run();
-  ASSERT_EQ(fire_ns.size(), 5u);
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(fire_ns[i], 1'000'000 + static_cast<std::int64_t>(i) * 250'000);
-  }
-  EXPECT_EQ(s.pending(), 0u);
-  EXPECT_FALSE(s.cancel(id));  // exhausted trains are no longer cancellable
-}
-
-TEST(SchedulerTest, CancelStopsTrainRemnant) {
-  Scheduler s;
-  int fires = 0;
-  const EventId id = s.schedule_train(1_ms, 1_ms, 10, [&fires] { ++fires; });
-  s.run_until(3_ms);
-  EXPECT_EQ(fires, 3);
-  EXPECT_TRUE(s.cancel(id));
-  EXPECT_EQ(s.pending(), 0u);
-  s.run();
-  EXPECT_EQ(fires, 3);
-  EXPECT_EQ(s.now(), 3_ms);
-}
-
-TEST(SchedulerTest, CancelInsideTrainCallbackStopsFutureFirings) {
-  Scheduler s;
-  auto state = std::make_shared<std::pair<int, EventId>>();
-  bool cancel_result = false;
-  state->second = s.schedule_train(1_ms, 1_ms, 10, [state, &s, &cancel_result] {
-    if (++state->first == 4) cancel_result = s.cancel(state->second);
-  });
-  s.run();
-  EXPECT_EQ(state->first, 4);
-  EXPECT_TRUE(cancel_result);  // the train still had six firings to cancel
-  EXPECT_EQ(s.now(), 4_ms);
-  EXPECT_EQ(s.pending(), 0u);
-}
-
-TEST(SchedulerTest, TrainValidation) {
-  Scheduler s;
-  // count == 0 is a no-op with an inert id.
-  EXPECT_FALSE(s.schedule_train(1_ms, 1_ms, 0, [] {}).valid());
-  EXPECT_EQ(s.pending(), 0u);
-  EXPECT_THROW(s.schedule_train(1_ms, Time::nanoseconds(-1), 3, [] {}),
-               std::invalid_argument);
-  EXPECT_THROW(s.schedule_train(Time::infinity(), 1_ms, 2, [] {}), std::invalid_argument);
-  EXPECT_THROW(s.schedule_train(1_ms, Time::infinity(), 2, [] {}), std::invalid_argument);
-  // A finite stride whose span would overflow the int64 nanosecond clock
-  // (stride ~4.0e18 ns is representable; the 4th firing at ~1.2e19 is not).
-  EXPECT_THROW(s.schedule_train(1_ms, Time::seconds(4'000'000'000), 4, [] {}),
-               std::invalid_argument);
-  EXPECT_EQ(s.pending(), 0u);
-  // A single firing at infinity is still allowed (matches schedule_at).
-  EXPECT_TRUE(s.schedule_train(Time::infinity(), Time::zero(), 1, [] {}).valid());
-}
-
-TEST(SimulationTest, TrainForwardsToScheduler) {
-  Simulation sim;
-  int fires = 0;
-  sim.train(5_ms, 5_ms, 3, [&fires] { ++fires; });
-  sim.run();
-  EXPECT_EQ(fires, 3);
-  EXPECT_EQ(sim.now(), 15_ms);
 }
 
 TEST(SimulationTest, EveryRepeatsUntilFalse) {

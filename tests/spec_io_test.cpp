@@ -3,6 +3,8 @@
 #include <optional>
 #include <string>
 
+#include "scenario/builder.hpp"
+#include "scenario/spec_cli.hpp"
 #include "scenario/spec_io.hpp"
 #include "scenario/topology.hpp"
 
@@ -275,6 +277,34 @@ TEST(ScenarioSpecTest, UnroutableFlowIsATopologyError) {
   } catch (const TopologyError& e) {
     EXPECT_EQ(e.code(), TopologyError::Code::kUnroutableFlow);
   }
+}
+
+TEST(ScenarioSpecTest, FluidFlowOnZeroDelayRouteWithoutRttIsATopologyError) {
+  // The unset RTT defaults to twice the route's delay, summed over both hops.
+  const auto spec_with = [](const std::string& second_delay, const std::string& fluid) {
+    return parse_scenario_spec(R"({
+      "nodes": ["a", "r", "b"],
+      "links": [{"a": "a", "b": "r", "delay": "0s"},
+                {"a": "r", "b": "b", "delay": ")" + second_delay + R"("}],
+      "flows": [{"src": "a", "dst": "b"},
+                {"src": "a", "dst": "b", "model": "fluid", "fluid": {)" + fluid + R"(}}]
+    })");
+  };
+  const ScenarioSpec zero = spec_with("0s", "");
+  try {
+    check_scenario_spec(zero);
+    FAIL() << "expected TopologyError";
+  } catch (const TopologyError& e) {
+    EXPECT_EQ(e.code(), TopologyError::Code::kZeroFluidRtt);
+    EXPECT_NE(std::string{e.what()}.find("fluid flow 1 ('a' -> 'b')"), std::string::npos)
+        << e.what();
+  }
+  // The builder makes the same check, so a C++ caller gets the typed error too.
+  EXPECT_THROW((void)ScenarioBuilder{zero.topology}.build(make_flow_cc_factory(zero)),
+               TopologyError);
+
+  EXPECT_NO_THROW(check_scenario_spec(spec_with("1ms", "")));
+  EXPECT_NO_THROW(check_scenario_spec(spec_with("0s", R"("rtt": "10ms")")));
 }
 
 TEST(ScenarioSpecTest, FlowOptionsRoundTripThroughTheSchema) {

@@ -33,7 +33,17 @@ std::uint64_t run_mini_simulation(std::size_t point) {
   using namespace rss::sim::literals;
   rss::sim::Scheduler s;
   std::uint64_t fired = 0;
-  s.schedule_train(1_us, 3_us, 50 + point % 7, [&fired] { ++fired; });
+  // A serialization-style chain: each firing arms the next one 3 us later.
+  struct Chain {
+    rss::sim::Scheduler* s;
+    std::uint64_t* fired;
+    std::uint64_t left;
+    void operator()() const {
+      ++*fired;
+      if (left > 1) s->schedule_in(3_us, Chain{s, fired, left - 1});
+    }
+  };
+  s.schedule_at(1_us, Chain{&s, &fired, 50 + point % 7});
   for (int i = 0; i < 20; ++i) {
     const auto id = s.schedule_in(rss::sim::Time::microseconds(5 + i), [&fired] { ++fired; });
     if (i % 3 == 0) s.cancel(id);

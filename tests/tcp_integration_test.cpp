@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <tuple>
 
 #include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
@@ -148,6 +150,38 @@ TEST(TcpIntegrationTest, DeterministicAcrossRuns) {
                       wan->sender(0).mib().PktsOut};
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// 32-bit sequence wrap: with the ISS a few dozen MSS below 2^32 the transfer
+// crosses the wrap in its first round trips; ISSes further below move the
+// wrap into later windows and loss recoveries (NewReno and SACK). Every
+// counter must equal the same run from ISS 0.
+TEST(TcpIntegrationTest, SequenceWrapLeavesTheTransferUnchanged) {
+  auto run_from = [](std::uint32_t iss, bool sack) {
+    WanPathConfig cfg = base_config();
+    cfg.sender.initial_seq = iss;
+    cfg.receiver.initial_seq = iss;
+    cfg.sender.enable_sack = sack;
+    cfg.receiver.enable_sack = sack;
+    auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_reno_factory());
+    wan->device("sender", "receiver").link()->set_loss_rate(0.001, sim::Rng{7});
+    wan->start_flow(0, sim::Time::zero());
+    wan->run_until(10_s);
+    const auto& s = wan->sender(0);
+    return std::tuple{s.bytes_acked(), s.goodput_mbps(sim::Time::zero(), 10_s),
+                      s.mib().PktsRetrans, s.mib().FastRetran, s.mib().Timeouts,
+                      s.mib().SendStall, wan->receiver(0).bytes_received()};
+  };
+  for (const bool sack : {false, true}) {
+    const auto from_zero = run_from(0, sack);
+    ASSERT_GT(std::get<2>(from_zero), 0u) << "the run must retransmit to cover recovery";
+    for (const std::uint32_t below_wrap : {1u, 40u * 1460, 1000u * 1460, 4000u * 1460}) {
+      ASSERT_GT(std::get<0>(from_zero), below_wrap) << "the run must cross the wrap";
+      const auto iss = static_cast<std::uint32_t>((std::uint64_t{1} << 32) - below_wrap);
+      EXPECT_EQ(run_from(iss, sack), from_zero)
+          << (sack ? "SACK" : "NewReno") << ", ISS 2^32 - " << below_wrap;
+    }
+  }
 }
 
 }  // namespace
