@@ -24,7 +24,8 @@ Rules
                       is hash-seed- and libstdc++-version-dependent, which
                       is exactly how a golden goes flaky.
   hotpath-alloc       The scheduler hot path (scheduler.{hpp,cpp},
-                      event_entry.hpp, inline_callback.hpp) and the
+                      event_entry.hpp, inline_callback.hpp, timer.hpp,
+                      net/delivery_line.{hpp,cpp}) and the
                       partitioned window loop (partition.{hpp,cpp},
                       cross_link.{hpp,cpp}) must not use std::function,
                       smart pointers, or non-placement new.
@@ -233,6 +234,12 @@ HOTPATH_FILES = (
     "src/sim/scheduler.cpp",
     "src/sim/event_entry.hpp",
     "src/sim/inline_callback.hpp",
+    # Per-ACK timer moves and per-packet link deliveries: alloc_guard_test
+    # asserts a warm wire with timers reset on every arrival allocates
+    # nothing.
+    "src/sim/timer.hpp",
+    "src/net/delivery_line.hpp",
+    "src/net/delivery_line.cpp",
     # The partitioned window loop (stage -> publish -> drain -> deliver) is
     # part of the steady-state hot path: alloc_guard_test asserts a warm
     # window round performs zero allocations, so the same constructs are

@@ -10,21 +10,13 @@ namespace rss::net {
 CrossPartitionLink::CrossPartitionLink(sim::Simulation& sim_a, sim::Simulation& sim_b,
                                        sim::Time delay, sim::HandoffChannel& a_to_b,
                                        sim::HandoffChannel& b_to_a)
-    : PointToPointLink(sim_a, delay) {
+    : PointToPointLink(sim_a, delay),
+      a_to_b_{sim_a, a_to_b, sim_b, *this, true},
+      b_to_a_{sim_b, b_to_a, sim_a, *this, false} {
   if (delay < sim::Time::nanoseconds(1))
     throw std::invalid_argument(
         "CrossPartitionLink: a cross-partition link needs nonzero latency (it bounds the "
         "conservative lookahead window)");
-  a_to_b_.src_sim = &sim_a;
-  a_to_b_.channel = &a_to_b;
-  a_to_b_.endpoint.sim = &sim_b;
-  a_to_b_.endpoint.link = this;
-  a_to_b_.endpoint.toward_b = true;
-  b_to_a_.src_sim = &sim_b;
-  b_to_a_.channel = &b_to_a;
-  b_to_a_.endpoint.sim = &sim_a;
-  b_to_a_.endpoint.link = this;
-  b_to_a_.endpoint.toward_b = false;
 }
 
 void CrossPartitionLink::transmit_from(const NetDevice& sender, const Packet& p) {
@@ -32,16 +24,13 @@ void CrossPartitionLink::transmit_from(const NetDevice& sender, const Packet& p)
   if (&sender != end_a_ && &sender != end_b_)
     throw std::logic_error("CrossPartitionLink: transmit from non-endpoint");
   Direction& dir = (&sender == end_a_) ? a_to_b_ : b_to_a_;
-  const sim::Time staged_at = dir.src_sim->now();
-  const sim::Time deliver_at = staged_at + delay();
-  // The tie-break rank is drawn from the *source* scheduler's counter for
-  // the sending node at transmit time — exactly the rank a single shared
-  // scheduler would have assigned this delivery — and travels with the
-  // payload so the drain can arm it unchanged on the destination.
-  const std::uint32_t origin = sender.event_origin();
-  const std::uint64_t rank = dir.src_sim->scheduler().draw_rank(origin);
-  dir.channel->stage(deliver_at, staged_at, origin, rank, &dir.endpoint,
-                     &CrossPartitionLink::deliver_staged, p);
+  // The key is drawn on the *source* scheduler for the sending node at
+  // transmit time — birth = the source's clock, and exactly the rank a
+  // single shared scheduler would have assigned this delivery — and travels
+  // with the payload so the drain can arm it unchanged on the destination.
+  const sim::EventKey key =
+      dir.src_sim->scheduler().draw_key(sender.event_origin(), dir.src_sim->now() + delay());
+  dir.channel->stage(key, &dir, &CrossPartitionLink::deliver_staged, p);
 }
 
 void CrossPartitionLink::set_loss_rate(double, sim::Rng) {
@@ -58,38 +47,20 @@ void CrossPartitionLink::set_jitter(sim::Time, sim::Rng) {
 }
 
 std::uint64_t CrossPartitionLink::packets_delivered() const {
-  return a_to_b_.endpoint.delivered + b_to_a_.endpoint.delivered;
+  return a_to_b_.line.delivered() + b_to_a_.line.delivered();
 }
 
-void CrossPartitionLink::deliver_staged(void* endpoint, const std::byte* payload,
-                                        sim::Time deliver_at, sim::Time staged_at,
-                                        std::uint32_t origin, std::uint64_t rank) {
-  auto* ep = static_cast<Endpoint*>(endpoint);
-  std::uint32_t slot;
-  if (ep->free_slots.empty()) {
-    slot = static_cast<std::uint32_t>(ep->arena.size());
-    ep->arena.emplace_back();
-  } else {
-    slot = ep->free_slots.back();
-    ep->free_slots.pop_back();
-  }
-  std::memcpy(&ep->arena[slot], payload, sizeof(Packet));
-  const auto deliver = [ep, slot] {
-    // Copy out before releasing: deliver_up can cascade into another
-    // transmit whose drain later claims the freed slot.
-    const Packet arrived = ep->arena[slot];
-    ep->free_slots.push_back(slot);
-    ++ep->delivered;
-    NetDevice* dev = ep->toward_b ? ep->link->end_b_ : ep->link->end_a_;
-    dev->deliver_up(arrived);
-  };
-  static_assert(sizeof(deliver) <= sim::InlineCallback::kCapacity,
-                "cross-partition delivery callback must stay inline");
-  // staged_at (the source's transmit clock) becomes the birth time and the
-  // staged (origin, rank) pair the intrinsic tie-break: a same-timestamp
-  // race between this delivery and any other event then resolves exactly
-  // as it would in a single-scheduler run, regardless of drain order.
-  ep->sim->at_imported(origin, rank, staged_at, deliver_at, deliver);
+void CrossPartitionLink::deliver_staged(void* direction, const std::byte* payload,
+                                        const sim::EventKey& key) {
+  auto* dir = static_cast<Direction*>(direction);
+  Packet p;
+  std::memcpy(&p, payload, sizeof(Packet));
+  NetDevice& to = dir->toward_b ? *dir->link->end_b_ : *dir->link->end_a_;
+  // The staged key (the source's transmit clock as birth, the sender's
+  // (origin, rank)) makes a same-timestamp race between this delivery and
+  // any other event resolve exactly as in a single-scheduler run,
+  // regardless of drain order.
+  dir->line.push(key, to, p);
 }
 
 }  // namespace rss::net

@@ -2,8 +2,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
+#include "net/delivery_line.hpp"
 #include "net/link.hpp"
 #include "net/packet.hpp"
 #include "sim/partition.hpp"
@@ -15,11 +15,12 @@ namespace rss::net {
 /// A point-to-point link whose endpoints live in different partitions of a
 /// PartitionedEngine. Instead of scheduling the delivery directly (the
 /// peer's scheduler belongs to another thread mid-window), transmit_from
-/// stages the packet into the engine's HandoffChannel for this direction;
-/// the engine's drain phase then parks the packet in a destination-side
-/// arena and schedules the delivery on the destination partition's
-/// scheduler. Conservative lookahead guarantees the delivery time is
-/// beyond the current window, so staging never reorders anything.
+/// stages the packet, with the delivery key drawn on the source's
+/// scheduler, into the engine's HandoffChannel for this direction; the
+/// engine's drain phase then pushes it onto a DeliveryLine armed on the
+/// destination partition's scheduler. Conservative lookahead guarantees
+/// the delivery time is beyond the current window, so staging never
+/// reorders anything.
 ///
 /// Devices and experiments see the ordinary PointToPointLink surface.
 /// Loss and jitter are unsupported across partitions (both draw from an
@@ -45,31 +46,26 @@ class CrossPartitionLink final : public PointToPointLink {
   [[nodiscard]] std::uint64_t packets_lost() const override { return 0; }
 
  private:
-  /// Destination-side state: touched only by the destination partition's
-  /// worker (engine drain phase + delivery events), so it needs no
-  /// synchronization. The arena parks packets between drain and delivery,
-  /// keeping the delivery closure within the inline-callback budget.
-  struct Endpoint {
-    sim::Simulation* sim{nullptr};
-    CrossPartitionLink* link{nullptr};
-    bool toward_b{false};  ///< deliver to end_b_ (a->b direction)?
-    std::vector<Packet> arena;
-    std::vector<std::uint32_t> free_slots;
-    std::uint64_t delivered{0};
-  };
-
-  /// One transmit direction: source-side channel plus destination-side
-  /// endpoint.
+  /// One transmit direction. The source partition's worker reads only the
+  /// two fixed pointers; `line` belongs to the destination partition's
+  /// worker (engine drain phase + delivery events), so nothing here needs
+  /// synchronization.
   struct Direction {
-    sim::Simulation* src_sim{nullptr};
-    sim::HandoffChannel* channel{nullptr};
-    Endpoint endpoint;
+    Direction(sim::Simulation& src, sim::HandoffChannel& staging, sim::Simulation& dst,
+              CrossPartitionLink& owner, bool to_b)
+        : src_sim{&src}, channel{&staging}, link{&owner}, toward_b{to_b},
+          line{dst.scheduler()} {}
+    sim::Simulation* src_sim;
+    sim::HandoffChannel* channel;
+    CrossPartitionLink* link;
+    bool toward_b;  ///< deliver to end_b_ (a->b direction)?
+    DeliveryLine line;
   };
 
   /// sim::HandoffDeliverFn invoked by the engine's drain phase on the
   /// destination partition's thread.
-  static void deliver_staged(void* endpoint, const std::byte* payload, sim::Time deliver_at,
-                             sim::Time staged_at, std::uint32_t origin, std::uint64_t rank);
+  static void deliver_staged(void* direction, const std::byte* payload,
+                             const sim::EventKey& key);
 
   Direction a_to_b_;
   Direction b_to_a_;

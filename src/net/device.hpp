@@ -92,7 +92,7 @@ class NetDevice {
   [[nodiscard]] double fluid_share() const { return fluid_share_; }
 
   /// Stable tie-break label for events this device emits onto a link
-  /// (Scheduler origin streams; see EventEntry). The builder tags every
+  /// (Scheduler origin streams; see EventKey). The builder tags every
   /// device with its owning node's global spec index + 1, so same-timestamp
   /// deliveries order by (node, per-node rank) — a pure function of the
   /// topology — instead of scheduler insertion order, which is what keeps

@@ -7,7 +7,7 @@
 namespace rss::net {
 
 PointToPointLink::PointToPointLink(sim::Simulation& simulation, sim::Time propagation_delay)
-    : sim_{simulation}, delay_{propagation_delay} {
+    : sim_{simulation}, delay_{propagation_delay}, line_{simulation.scheduler()} {
   if (propagation_delay.is_negative())
     throw std::invalid_argument("PointToPointLink: negative delay");
 }
@@ -48,29 +48,11 @@ void PointToPointLink::transmit_from(const NetDevice& sender, const Packet& p) {
   if (max_jitter_ > sim::Time::zero()) {
     delay += max_jitter_ * jitter_rng_.next_double();
   }
-  std::uint32_t slot;
-  if (free_in_flight_.empty()) {
-    slot = static_cast<std::uint32_t>(in_flight_.size());
-    in_flight_.push_back(p);
-  } else {
-    slot = free_in_flight_.back();
-    free_in_flight_.pop_back();
-    in_flight_[slot] = p;
-  }
-  const auto deliver = [this, peer, slot] {
-    // Copy out before releasing: deliver_up can cascade into another
-    // transmit on this link, which may claim the freed slot immediately.
-    const Packet arrived = in_flight_[slot];
-    free_in_flight_.push_back(slot);
-    peer->deliver_up(arrived);
-  };
-  static_assert(sizeof(deliver) <= sim::InlineCallback::kCapacity,
-                "delivery callback must stay inline on the scheduler hot path");
-  // Ranked by the sending device's origin so same-timestamp deliveries
-  // order intrinsically (node, per-node rank) — the key a CrossPartitionLink
+  // Keyed by the sending device's origin so same-timestamp deliveries order
+  // intrinsically (node, per-node rank) — the key a CrossPartitionLink
   // carries across partitions; both link kinds must draw from the same
   // per-origin counters for sequential/partitioned pop-order parity.
-  sim_.in_ranked(sender.event_origin(), delay, deliver);
+  line_.push(sim_.scheduler().draw_key(sender.event_origin(), sim_.now() + delay), *peer, p);
 }
 
 }  // namespace rss::net

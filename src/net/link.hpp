@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
+#include "net/delivery_line.hpp"
 #include "net/packet.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
@@ -15,7 +15,9 @@ class NetDevice;
 /// Full-duplex point-to-point wire: pure propagation delay between two
 /// NetDevices (serialization happens in the devices, which own the rate).
 /// An optional Bernoulli loss model supports robustness experiments —
-/// every loss is counted so tests can assert on it.
+/// every loss is counted so tests can assert on it. Packets on the wire
+/// wait in one DeliveryLine for both directions: one pending event per busy
+/// link, not one per packet.
 ///
 /// The transmit/config entry points are virtual so a link can span two
 /// partitions (CrossPartitionLink stages deliveries through the partition
@@ -62,14 +64,7 @@ class PointToPointLink {
   sim::Rng jitter_rng_{};
   std::uint64_t delivered_{0};
   std::uint64_t lost_{0};
-  /// Packets on the wire, indexed by the slot captured in the delivery
-  /// closure. Parking the payload here keeps the closure at three words —
-  /// inside the scheduler's inline-callback budget — and the free list
-  /// makes steady-state transmission allocation-free. A plain FIFO would
-  /// not do: jitter deliberately permits reordering, so deliveries can
-  /// complete out of order.
-  std::vector<Packet> in_flight_;
-  std::vector<std::uint32_t> free_in_flight_;
+  DeliveryLine line_;
 };
 
 }  // namespace rss::net

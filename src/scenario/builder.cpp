@@ -204,7 +204,7 @@ std::unique_ptr<Scenario> ScenarioBuilder::build(const FlowCcFactory& cc_factory
     scenario->sims_.push_back(
         std::make_unique<sim::Simulation>(spec.seed + p));
     // Origins label nodes (spec index + 1) plus the shared stream 0;
-    // pre-sizing keeps ranked scheduling allocation-free on the hot path.
+    // pre-sizing keeps draw_key allocation-free on the hot path.
     scenario->sims_.back()->scheduler().reserve_origins(spec.nodes.size() + 1);
   }
   if (parts > 1) {

@@ -245,8 +245,10 @@ ScenarioSpec preset_spec(const std::string& name) {
 
 namespace {
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
+/// Prints usage and returns `code`: to stdout for --help (code 0), to
+/// stderr for a bad or missing command (code 2).
+int usage(const char* argv0, int code = 2) {
+  std::fprintf(code == 0 ? stdout : stderr,
                "usage: %s <command> [options]\n"
                "\n"
                "commands:\n"
@@ -265,7 +267,7 @@ int usage(const char* argv0) {
                "  --out <path>             write CSV/spec output here (default: stdout)\n"
                "%s",
                argv0, preset_list().c_str(), ExecFlags::help());
-  return 2;
+  return code;
 }
 
 [[nodiscard]] int write_output(const std::string& out_path, const std::string& content) {
@@ -432,8 +434,7 @@ int scenario_main(int argc, char** argv) {
       }
       out_path = argv[++i];
     } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
+      return usage(argv[0], 0);
     } else if (!arg.empty() && arg.front() == '-') {
       std::fprintf(stderr, "unknown option: %s\n", argv[i]);
       return usage(argv[0]);

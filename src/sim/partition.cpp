@@ -242,15 +242,15 @@ void PartitionedEngine::drain_partition(std::size_t p) {
   }
   if (scratch.empty()) return;
   std::sort(scratch.begin(), scratch.end(), [](const StagedHandoff* x, const StagedHandoff* y) {
-    if (x->deliver_at != y->deliver_at) return x->deliver_at < y->deliver_at;
-    if (x->staged_at != y->staged_at) return x->staged_at < y->staged_at;
+    if (x->key.at != y->key.at) return x->key.at < y->key.at;
+    if (x->key.birth != y->key.birth) return x->key.birth < y->key.birth;
     if (x->channel != y->channel) return x->channel < y->channel;
     return x->seq < y->seq;
   });
   for (const StagedHandoff* h : scratch) {
-    if (h->deliver_at <= sims_[p]->now())
-      throw_causality_violation(p, h->deliver_at, sims_[p]->now(), options_.lookahead);
-    h->deliver(h->endpoint, h->payload, h->deliver_at, h->staged_at, h->origin, h->rank);
+    if (h->key.at <= sims_[p]->now())
+      throw_causality_violation(p, h->key.at, sims_[p]->now(), options_.lookahead);
+    h->deliver(h->endpoint, h->payload, h->key);
   }
   handoffs_[p] += scratch.size();
   for (const std::uint32_t id : inbound_[p]) channels_[id].clear();

@@ -9,6 +9,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "sim/event_entry.hpp"
 #include "sim/time.hpp"
 
 namespace rss::sim {
@@ -76,32 +77,27 @@ inline constexpr std::size_t kHandoffPayloadCapacity = 96;
 
 /// Delivery hook invoked on the *destination* partition's worker during the
 /// drain phase. A plain function pointer (not InlineCallback) because the
-/// payload travels in the staged entry itself, not in a closure.
-/// `staged_at` is the source partition's clock when the handoff was staged;
-/// `origin`/`rank` are the sending node's label and the insertion rank
-/// drawn from the *source* scheduler's origin counter at stage time.
-/// Implementations should forward all three when scheduling into the
-/// destination (Simulation::at_imported), so same-timestamp ties resolve
-/// exactly as a single-scheduler run would — the (birth, origin, rank)
-/// tie-break key is intrinsic to the sender, not to insertion order.
-using HandoffDeliverFn = void (*)(void* endpoint, const std::byte* payload, Time deliver_at,
-                                  Time staged_at, std::uint32_t origin, std::uint64_t rank);
+/// payload travels in the staged entry itself, not in a closure. `key` was
+/// drawn on the *source* scheduler at stage time (Scheduler::draw_key):
+/// its birth is the source's clock then, its (origin, rank) the sending
+/// node's. Implementations should arm the delivery under exactly that key
+/// (Scheduler::schedule_keyed), so same-timestamp ties resolve as a
+/// single-scheduler run would — the key is intrinsic to the sender, not to
+/// insertion order.
+using HandoffDeliverFn = void (*)(void* endpoint, const std::byte* payload, const EventKey& key);
 
 /// One staged cross-partition event, written by the source partition during
 /// a window and consumed by the destination during the drain phase.
-/// (staged_at, channel, seq) is the deterministic-merge tiebreak: together
-/// with deliver_at it totally orders every handoff a partition receives,
-/// independent of which thread staged what first. (origin, rank) ride
-/// along untouched — they are the *scheduler* tie-break the delivery is
-/// armed with, which makes the destination's pop order independent of the
-/// merge's insertion order entirely.
+/// (key.at, key.birth, channel, seq) is the deterministic-merge tiebreak:
+/// it totally orders every handoff a partition receives, independent of
+/// which thread staged what first. The key's (origin, rank) ride along
+/// untouched — with (at, birth) they are the *scheduler* key the delivery
+/// is armed with, which makes the destination's pop order independent of
+/// the merge's insertion order entirely.
 struct StagedHandoff {
-  Time deliver_at{};
-  Time staged_at{};
+  EventKey key{};
   std::uint32_t channel{0};
-  std::uint32_t origin{0};
   std::uint64_t seq{0};
-  std::uint64_t rank{0};
   HandoffDeliverFn deliver{nullptr};
   void* endpoint{nullptr};
   alignas(std::max_align_t) std::byte payload[kHandoffPayloadCapacity];
@@ -123,26 +119,20 @@ class alignas(64) HandoffChannel {
 
   [[nodiscard]] std::uint32_t id() const { return id_; }
 
-  /// Stage `payload` for delivery at `deliver_at`; called by the source
-  /// partition's thread while its window executes, with `staged_at` its
-  /// current clock (staged_at <= deliver_at) and (`origin`, `rank`) the
-  /// sender's scheduler tie-break key drawn at stage time. `fn(endpoint,
-  /// bytes, deliver_at, staged_at, origin, rank)` runs later on the
-  /// destination's thread.
+  /// Stage `payload` for delivery under `key`, drawn by the source
+  /// partition's thread on its own scheduler while its window executes
+  /// (key.birth is that clock, key.at the delivery time). `fn(endpoint,
+  /// bytes, key)` runs later on the destination's thread.
   template <typename T>
-  void stage(Time deliver_at, Time staged_at, std::uint32_t origin, std::uint64_t rank,
-             void* endpoint, HandoffDeliverFn fn, const T& payload) {
+  void stage(const EventKey& key, void* endpoint, HandoffDeliverFn fn, const T& payload) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "handoff payloads are relayed as raw bytes");
     static_assert(sizeof(T) <= kHandoffPayloadCapacity,
                   "handoff payload exceeds the staging budget");
     StagedHandoff& h = staged_.emplace_back();
-    h.deliver_at = deliver_at;
-    h.staged_at = staged_at;
+    h.key = key;
     h.channel = id_;
-    h.origin = origin;
     h.seq = next_seq_++;
-    h.rank = rank;
     h.deliver = fn;
     h.endpoint = endpoint;
     std::memcpy(h.payload, &payload, sizeof(T));
@@ -177,10 +167,10 @@ class alignas(64) HandoffChannel {
 ///   2. window:  each worker runs its partitions to the window end; cross
 ///      partition sends are staged into HandoffChannels, never applied.
 ///   3. drain:   after the second barrier, each worker merges the channels
-///      inbound to its partitions — sorted by (deliver_at, staged_at,
-///      channel, seq) — and schedules the deliveries with staged_at as the
-///      birth time and the staged (origin, rank) pair as the intrinsic
-///      tie-break key (Scheduler::schedule_at_imported). The sort makes
+///      inbound to its partitions — sorted by (at, birth, channel, seq) —
+///      and hands each to its endpoint, which arms it under the staged key
+///      (Scheduler::schedule_keyed): the source's transmit clock as birth,
+///      the sender's (origin, rank) as the intrinsic tie-break. The sort makes
 ///      the destination scheduler's insertion order a pure function of the
 ///      spec, so runs are deterministic regardless of thread count or
 ///      timing; the (birth, origin, rank) key makes same-timestamp pop

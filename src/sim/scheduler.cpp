@@ -5,20 +5,17 @@
 
 namespace rss::sim {
 
-EventId Scheduler::arm(Time at, Callback cb, std::uint32_t origin) {
-  return arm_with_rank(at, std::move(cb), now_, origin, draw_rank(origin));
-}
-
-EventId Scheduler::arm_with_rank(Time at, Callback cb, Time birth, std::uint32_t origin,
-                                 std::uint64_t rank) {
-  if (at < now_) throw std::invalid_argument("Scheduler: event scheduled in the past");
+EventId Scheduler::schedule_keyed(const EventKey& key, Callback cb) {
+  if (key.at < now_) throw std::invalid_argument("Scheduler: event scheduled in the past");
+  if (key.birth > key.at)
+    throw std::invalid_argument("Scheduler: event born after its own fire time");
   if (!cb) throw std::invalid_argument("Scheduler: null callback");
   const std::uint32_t index = acquire_slot();
   Slot& slot = slots_[index];
   slot.cb = std::move(cb);
   slot.armed = true;
   ++live_;
-  heap_.push(EventEntry{at, birth, rank, index, slot.gen, origin});
+  heap_.push(EventEntry{key, index, slot.gen});
   return EventId{index, slot.gen};
 }
 
@@ -66,7 +63,7 @@ void Scheduler::skim_dead_heap_top() {
 
 Time Scheduler::next_event_time() const {
   // Heap-top invariant: skims at cancel/pop boundaries guarantee a live top.
-  return heap_.empty() ? Time::infinity() : heap_.top().at;
+  return heap_.empty() ? Time::infinity() : heap_.top().key.at;
 }
 
 bool Scheduler::step() {
@@ -75,7 +72,7 @@ bool Scheduler::step() {
   const EventEntry entry = heap_.top();
   heap_.pop();
   skim_dead_heap_top();
-  now_ = entry.at;
+  now_ = entry.key.at;
   ++executed_;
   // Move the callback out of the arena before invoking it: the callback may
   // schedule (growing slots_ and relocating every Slot) or cancel, and must

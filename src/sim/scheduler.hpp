@@ -53,11 +53,14 @@ class EventId {
 /// InlineCallback (small-buffer, no heap fallback) and live in a slot
 /// arena recycled through a free list; the heap stores only the 40-byte
 /// POD EventEntry. Cancellation resolves an EventId to its slot in O(1)
-/// with no hashing — the TCP retransmission timer is rescheduled on every
-/// ACK, so this path is hot. Cancellation is lazy (the pop loop discards
-/// entries whose generation no longer matches), but dead entries are always
-/// skimmed off the top at cancel/pop boundaries, so next_event_time() and
-/// empty() are genuinely const.
+/// with no hashing. Cancellation is lazy (the pop loop discards entries
+/// whose generation no longer matches), but dead entries are always skimmed
+/// off the top at cancel/pop boundaries, so next_event_time() and empty()
+/// are genuinely const. A cancelled entry still occupies the heap until it
+/// surfaces, so the per-ACK sources do not cancel: a TCP timer moves a
+/// deadline inside sim::Timer and a link keeps its in-flight packets in a
+/// net::DeliveryLine, each with one armed event, and cancel stays off the
+/// hot path.
 class Scheduler {
  public:
   using Callback = InlineCallback;
@@ -72,7 +75,7 @@ class Scheduler {
 
   /// Schedule `cb` at absolute time `at` (must be >= now()).
   EventId schedule_at(Time at, Callback cb) {
-    return arm(at, std::move(cb), 0);
+    return schedule_keyed(draw_key(0, at), std::move(cb));
   }
 
   /// Schedule `cb` after relative delay `delay` (must be >= 0).
@@ -80,44 +83,27 @@ class Scheduler {
     return schedule_at(now_ + delay, std::move(cb));
   }
 
-  /// Schedule on the `origin` tie-break stream (birth = now()): the event's
-  /// rank among same-(at, birth) peers is drawn from origin's private
-  /// counter, not the global insertion sequence. Origins label *nodes* in a
+  /// Draw the key of an event at `at` on the `origin` tie-break stream —
+  /// birth = now() and the next rank of origin's private counter — without
+  /// arming anything. The holder arms it later with schedule_keyed, on this
+  /// or another scheduler, and the event pops exactly where it would have
+  /// had it been armed now (see EventKey). Origins label *nodes* in a
   /// partitioned topology, so the rank is a pure function of the node's
   /// local transmit history — the same value whether the node's events land
   /// in one shared scheduler or its own partition's. Origin 0 is the
-  /// default stream used by every un-ranked schedule_* call.
-  EventId schedule_at_ranked(std::uint32_t origin, Time at, Callback cb) {
-    return arm(at, std::move(cb), origin);
-  }
-
-  /// Relative-delay form of schedule_at_ranked.
-  EventId schedule_in_ranked(std::uint32_t origin, Time delay, Callback cb) {
-    return schedule_at_ranked(origin, now_ + delay, std::move(cb));
-  }
-
-  /// Schedule with an explicit, externally drawn (origin, rank) pair and
-  /// birth time — the cross-partition drain path. The rank was consumed
-  /// from the *source* scheduler's origin counter at transmit time
-  /// (draw_rank), so it is exactly the rank a single-scheduler run would
-  /// have assigned; this call does not touch the local counters.
-  EventId schedule_at_imported(std::uint32_t origin, std::uint64_t rank, Time birth,
-                               Time at, Callback cb) {
-    if (birth > at)
-      throw std::invalid_argument("Scheduler: event born after its own fire time");
-    return arm_with_rank(at, std::move(cb), birth, origin, rank);
-  }
-
-  /// Consume and return the next rank of `origin`'s tie-break stream
-  /// without scheduling anything — used by cross-partition staging, which
-  /// draws the rank on the source scheduler but arms the event later on the
-  /// destination's (schedule_at_imported).
-  std::uint64_t draw_rank(std::uint32_t origin) {
+  /// default stream used by schedule_at/schedule_in. The rank is consumed
+  /// whether or not the key is ever armed.
+  EventKey draw_key(std::uint32_t origin, Time at) {
     if (origin >= next_rank_.size()) next_rank_.resize(origin + 1, 1);
-    return next_rank_[origin]++;
+    return EventKey{at, now_, next_rank_[origin]++, origin};
   }
 
-  /// Pre-size the per-origin rank counters so ranked scheduling for origins
+  /// Arm `cb` under a key drawn earlier by draw_key (on this or another
+  /// scheduler); touches no rank counter. The key's birth may lie in the
+  /// past, its time may not.
+  EventId schedule_keyed(const EventKey& key, Callback cb);
+
+  /// Pre-size the per-origin rank counters so draw_key for origins
   /// < `count` never allocates on the hot path. The builder calls this with
   /// node_count + 1 on every partition's scheduler.
   void reserve_origins(std::size_t count) {
@@ -165,16 +151,12 @@ class Scheduler {
   };
   struct Later {
     bool operator()(const EventEntry& a, const EventEntry& b) const {
-      // See event_entry_before for the tie-break rationale (hashed tagged
+      // See event_key_before for the tie-break rationale (hashed tagged
       // streams, legacy sequence for the untagged stream).
-      return event_entry_before(b, a);
+      return event_key_before(b.key, a.key);
     }
   };
 
-  /// Arm at birth = now() with the next rank of `origin`'s stream.
-  EventId arm(Time at, Callback cb, std::uint32_t origin);
-  EventId arm_with_rank(Time at, Callback cb, Time birth, std::uint32_t origin,
-                        std::uint64_t rank);
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
   /// Pop dead (cancelled) entries off the top of the heap. Called at cancel

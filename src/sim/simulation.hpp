@@ -34,20 +34,6 @@ class Simulation {
   EventId in(Time delay, Scheduler::Callback cb) {
     return scheduler_.schedule_in(delay, std::move(cb));
   }
-  /// Origin-ranked scheduling: same-(at, birth) ties resolve by the node
-  /// label `origin` and its private rank counter instead of global insertion
-  /// order (see Scheduler::schedule_in_ranked). Links use the sender
-  /// device's origin so pop order is intrinsic to the topology, not to
-  /// which scheduler an event was inserted into.
-  EventId in_ranked(std::uint32_t origin, Time delay, Scheduler::Callback cb) {
-    return scheduler_.schedule_in_ranked(origin, delay, std::move(cb));
-  }
-  /// Drain-side arm with an externally drawn (origin, rank) pair (see
-  /// Scheduler::schedule_at_imported). Used by cross-partition deliveries.
-  EventId at_imported(std::uint32_t origin, std::uint64_t rank, Time birth, Time t,
-                      Scheduler::Callback cb) {
-    return scheduler_.schedule_at_imported(origin, rank, birth, t, std::move(cb));
-  }
   bool cancel(EventId id) { return scheduler_.cancel(id); }
 
   void run() { scheduler_.run(); }

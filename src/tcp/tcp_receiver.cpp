@@ -77,16 +77,13 @@ void TcpReceiver::on_packet(const net::Packet& p) {
   const bool quickack = packets_received_ <= opt_.quickack_segments;
   if (quickack || ++unacked_arrivals_ >= opt_.ack_every) {
     send_ack();
-  } else {
-    schedule_delayed_ack();
+  } else if (!delack_timer_.pending()) {
+    delack_timer_.set_in(opt_.delayed_ack_timeout);
   }
 }
 
 void TcpReceiver::send_ack() {
-  if (delack_timer_.valid()) {
-    sim_.cancel(delack_timer_);
-    delack_timer_ = sim::EventId{};
-  }
+  delack_timer_.clear();
   unacked_arrivals_ = 0;
 
   net::Packet ack;
@@ -136,17 +133,6 @@ void TcpReceiver::fill_sack_blocks(net::TcpHeader& header) const {
   for (std::size_t i = 0; i < header.sack_count; ++i) {
     header.sack[i] = {blocks[i].start.raw(), blocks[i].end.raw()};
   }
-}
-
-void TcpReceiver::schedule_delayed_ack() {
-  if (delack_timer_.valid()) return;
-  const auto fire_delack = [this] {
-    delack_timer_ = sim::EventId{};
-    if (unacked_arrivals_ > 0) send_ack();
-  };
-  static_assert(sizeof(fire_delack) <= sim::InlineCallback::kCapacity,
-                "delayed-ACK callback must stay inline on the per-segment hot path");
-  delack_timer_ = sim_.in(opt_.delayed_ack_timeout, fire_delack);
 }
 
 }  // namespace rss::tcp

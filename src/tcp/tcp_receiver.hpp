@@ -7,6 +7,7 @@
 #include "net/node.hpp"
 #include "net/packet.hpp"
 #include "sim/simulation.hpp"
+#include "sim/timer.hpp"
 #include "tcp/sequence.hpp"
 
 namespace rss::tcp {
@@ -57,7 +58,6 @@ class TcpReceiver {
  private:
   void on_packet(const net::Packet& p);
   void send_ack();
-  void schedule_delayed_ack();
   void fill_sack_blocks(net::TcpHeader& header) const;
 
   sim::Simulation& sim_;
@@ -82,7 +82,14 @@ class TcpReceiver {
   /// echoes while the ecn option is on (DCTCP state machine).
   bool ce_state_{false};
   int unacked_arrivals_{0};
-  sim::EventId delack_timer_{};
+  /// Set by every other data segment and cleared by the next ACK;
+  /// sim::Timer keeps that to one pending event.
+  sim::Timer delack_timer_{sim_.scheduler(),
+                          [](void* self) {
+                            auto* receiver = static_cast<TcpReceiver*>(self);
+                            if (receiver->unacked_arrivals_ > 0) receiver->send_ack();
+                          },
+                          this};
   net::PacketUidSource uid_source_;
   /// Start of the most recently buffered out-of-order segment; its merged
   /// block goes first in the SACK list (RFC 2018 §4).

@@ -142,7 +142,7 @@ bool TcpSender::send_segment(std::uint64_t offset, std::uint32_t len, bool retra
     highest_sent_ = std::max(highest_sent_, sent_offset_);
   }
   last_send_activity_ = sim_.now();
-  if (!rto_timer_.valid()) arm_rto_timer();
+  if (!rto_timer_.pending()) arm_rto_timer();
   return true;
 }
 
@@ -379,7 +379,6 @@ void TcpSender::retransmit_head() {
 }
 
 void TcpSender::on_retransmission_timeout() {
-  rto_timer_ = sim::EventId{};
   if (flight_size_bytes() == 0) return;
 
   ++mib_.Timeouts;
@@ -395,23 +394,6 @@ void TcpSender::on_retransmission_timeout() {
   sent_offset_ = acked_offset_;  // go-back-N: everything outstanding is suspect
   arm_rto_timer();
   maybe_send();
-}
-
-void TcpSender::arm_rto_timer() {
-  disarm_rto_timer();
-  // Rescheduled on every ACK — the scheduler's O(1) cancel + inline
-  // callback make this allocation-free, provided the closure stays small.
-  const auto on_rto = [this] { on_retransmission_timeout(); };
-  static_assert(sizeof(on_rto) <= sim::InlineCallback::kCapacity,
-                "RTO callback must stay inline on the per-ACK hot path");
-  rto_timer_ = sim_.in(rtt_.rto(), on_rto);
-}
-
-void TcpSender::disarm_rto_timer() {
-  if (rto_timer_.valid()) {
-    sim_.cancel(rto_timer_);
-    rto_timer_ = sim::EventId{};
-  }
 }
 
 double TcpSender::goodput_mbps(sim::Time t0, sim::Time t1) const {

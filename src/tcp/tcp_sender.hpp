@@ -13,6 +13,7 @@
 #include "net/node.hpp"
 #include "net/packet.hpp"
 #include "sim/simulation.hpp"
+#include "sim/timer.hpp"
 #include "tcp/congestion_control.hpp"
 #include "tcp/rtt_estimator.hpp"
 #include "tcp/sequence.hpp"
@@ -141,8 +142,8 @@ class TcpSender final : public CcHost {
   /// first, then new data, while estimated pipe < cwnd.
   void sack_recovery_send();
   void on_retransmission_timeout();
-  void arm_rto_timer();
-  void disarm_rto_timer();
+  void arm_rto_timer() { rto_timer_.set_in(rtt_.rto()); }
+  void disarm_rto_timer() { rto_timer_.clear(); }
 
   sim::Simulation& sim_;
   net::Node& node_;
@@ -178,7 +179,10 @@ class TcpSender final : public CcHost {
   std::optional<std::pair<std::uint64_t, sim::Time>> timed_segment_;
   /// RFC 2861 bookkeeping: when data last entered the network.
   std::optional<sim::Time> last_send_activity_;
-  sim::EventId rto_timer_{};
+  /// Restarted on every new ACK; sim::Timer keeps that to one pending event.
+  sim::Timer rto_timer_{
+      sim_.scheduler(),
+      [](void* self) { static_cast<TcpSender*>(self)->on_retransmission_timeout(); }, this};
   sim::EventId stall_retry_timer_{};
 
   web100::Mib mib_;

@@ -19,12 +19,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "net/device.hpp"
+#include "net/link.hpp"
+#include "net/queue.hpp"
 #include "sim/partition.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
+#include "sim/timer.hpp"
 
 namespace rss::sim {
 namespace {
@@ -108,6 +113,69 @@ TEST(AllocGuard, SteadyStateChainedPopLoopIsAllocFree) {
   EXPECT_EQ(s.arena_slots(), 1u) << "a chain holds one event in flight";
 }
 
+/// A warm wire with per-ACK timers: packets cross a jittered
+/// PointToPointLink (its DeliveryLine, reordering included), and every
+/// arrival restarts an RTO-like Timer and sets or clears a delayed-ACK-like
+/// one, as TcpSender and TcpReceiver do. The source hands packets straight
+/// to the link, as a device does when a serialization completes.
+TEST(AllocGuard, SteadyStateLinkDeliveryAndTimerResetAreAllocFree) {
+  Simulation sim{1};
+  net::NetDevice a{sim, net::DataRate::mbps(100), std::make_unique<net::DropTailQueue>(1),
+                   "a"};
+  net::NetDevice b{sim, net::DataRate::mbps(100), std::make_unique<net::DropTailQueue>(1),
+                   "b"};
+  net::PointToPointLink link{sim, 10_ms};
+  link.attach(a, b);
+  link.set_jitter(1_ms, Rng{3});
+
+  std::uint64_t expiries = 0;
+  const Timer::Expire count = [](void* n) { ++*static_cast<std::uint64_t*>(n); };
+  Timer rto{sim.scheduler(), count, &expiries};
+  Timer delack{sim.scheduler(), count, &expiries};
+  std::uint64_t arrivals = 0;
+  b.set_receive_callback([&](const net::Packet&, net::NetDevice&) {
+    rto.set_in(200_ms);
+    if (++arrivals % 2 == 1) {
+      delack.set_in(100_ms);
+    } else {
+      delack.clear();
+    }
+  });
+
+  struct Source {
+    Simulation& sim;
+    net::PointToPointLink& link;
+    const net::NetDevice& from;
+    std::uint64_t left{0};
+    void fire() {
+      link.transmit_from(from, net::Packet{});
+      if (--left > 0) sim.in(100_us, [this] { fire(); });
+    }
+  };
+  Source source{sim, link, a};
+  auto round = [&](std::uint64_t packets) {
+    source.left = packets;
+    sim.in(100_us, [&source] { source.fire(); });
+    sim.run_until(sim.now() + Time::microseconds(static_cast<std::int64_t>(packets) * 100) +
+                  300_ms);
+  };
+
+  round(4000);  // warm-up: line ring, heap and arena capacity
+  ASSERT_EQ(arrivals, 4000u);
+  const std::size_t warm_slots = sim.scheduler().arena_slots();
+
+  const alloc_guard::AllocScope scope;
+  round(1000);
+  const std::uint64_t allocations = scope.allocations();
+  EXPECT_EQ(allocations, 0u) << "steady-state link delivery and timer reset allocated "
+                             << allocations << " times";
+  EXPECT_EQ(arrivals, 5000u);
+  // An even arrival count leaves the delayed-ACK timer cleared: each round
+  // ends with one RTO expiry.
+  EXPECT_EQ(expiries, 2u);
+  EXPECT_EQ(sim.scheduler().arena_slots(), warm_slots) << "slot arena grew in steady state";
+}
+
 /// Steady-state partitioned window loop: once the handoff channels' staging
 /// vectors, the merge scratch, and both schedulers' arenas are warm, a
 /// window round — stage, publish, drain, deliver — performs no heap
@@ -119,11 +187,10 @@ TEST(AllocGuard, SteadyStatePartitionWindowLoopIsAllocFree) {
     Simulation* sim{nullptr};
     std::uint64_t delivered{0};
 
-    static void deliver(void* self, const std::byte* payload, Time at, Time staged_at,
-                        std::uint32_t origin, std::uint64_t rank) {
+    static void deliver(void* self, const std::byte* payload, const EventKey& key) {
       (void)payload;
       auto* c = static_cast<Counter*>(self);
-      c->sim->at_imported(origin, rank, staged_at, at, [c] { ++c->delivered; });
+      c->sim->scheduler().schedule_keyed(key, [c] { ++c->delivered; });
     }
   };
 
@@ -139,8 +206,8 @@ TEST(AllocGuard, SteadyStatePartitionWindowLoopIsAllocFree) {
     for (int i = 0; i < windows; ++i) {
       a.at(start + Time::microseconds(i * 100), [&] {
         const std::uint64_t tag = 0;
-        ab.stage(a.now() + 100_us, a.now(), 0, a.scheduler().draw_rank(0), &counter,
-                 &Counter::deliver, tag);
+        ab.stage(a.scheduler().draw_key(0, a.now() + 100_us), &counter, &Counter::deliver,
+                 tag);
       });
     }
     horizon = start + Time::microseconds(windows * 100 + 200);

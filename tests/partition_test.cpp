@@ -83,11 +83,10 @@ struct Recorder {
   sim::Simulation* sim{nullptr};
   std::vector<sim::Time> delivered;
 
-  static void deliver(void* self, const std::byte* payload, sim::Time at,
-                      sim::Time staged_at, std::uint32_t origin, std::uint64_t rank) {
+  static void deliver(void* self, const std::byte* payload, const sim::EventKey& key) {
     (void)payload;  // the tag only proves arbitrary payloads ride through
     auto* r = static_cast<Recorder*>(self);
-    r->sim->at_imported(origin, rank, staged_at, at, [r, at] { r->delivered.push_back(at); });
+    r->sim->scheduler().schedule_keyed(key, [r, at = key.at] { r->delivered.push_back(at); });
   }
 };
 
@@ -104,8 +103,8 @@ TEST(PartitionedEngine, WindowsRespectLookaheadAndDeliverHandoffs) {
   for (int i = 0; i < 50; ++i) {
     a.at(sim::Time::milliseconds(i), [&, i] {
       const std::uint64_t tag = static_cast<std::uint64_t>(i);
-      a_to_b.stage(a.now() + 10_ms, a.now(), 0, a.scheduler().draw_rank(0), &recorder,
-                   &Recorder::deliver, tag);
+      a_to_b.stage(a.scheduler().draw_key(0, a.now() + 10_ms), &recorder, &Recorder::deliver,
+                   tag);
     });
   }
   engine.run_until(sim::Time::milliseconds(100));
@@ -133,12 +132,12 @@ TEST(PartitionedEngine, ThreadedRunMatchesSingleWorker) {
     for (int i = 0; i < 200; ++i) {
       a.at(sim::Time::microseconds(i * 7), [&] {
         const std::uint64_t tag = 1;
-        ab.stage(a.now() + 1_ms, a.now(), 0, a.scheduler().draw_rank(0), &to_b,
+        ab.stage(a.scheduler().draw_key(0, a.now() + 1_ms), &to_b,
                  &Recorder::deliver, tag);
       });
       b.at(sim::Time::microseconds(i * 11), [&] {
         const std::uint64_t tag = 2;
-        ba.stage(b.now() + 1_ms, b.now(), 0, b.scheduler().draw_rank(0), &to_a,
+        ba.stage(b.scheduler().draw_key(0, b.now() + 1_ms), &to_a,
                  &Recorder::deliver, tag);
       });
     }
@@ -174,7 +173,7 @@ TEST(PartitionedEngine, LookaheadBeyondCrossLinkDelayThrows) {
       Recorder recorder{&b, {}};
       a.at(0_ms, [&] {
         const std::uint64_t tag = 0;
-        a_to_b.stage(a.now() + delay, a.now(), 0, a.scheduler().draw_rank(0), &recorder,
+        a_to_b.stage(a.scheduler().draw_key(0, a.now() + delay), &recorder,
                      &Recorder::deliver, tag);
       });
       try {
@@ -218,10 +217,9 @@ TEST(PartitionedEngine, HandoffStressRing) {
         const std::uint64_t tag = p;
         Recorder& fwd = recorders[(p + 1) % kParts];
         Recorder& back = recorders[(p + kParts - 1) % kParts];
-        next_hop[p]->stage(sims[p]->now() + 100_us, sims[p]->now(), 0,
-                           sims[p]->scheduler().draw_rank(0), &fwd, &Recorder::deliver, tag);
-        prev_hop[p]->stage(sims[p]->now() + 150_us, sims[p]->now(), 0,
-                           sims[p]->scheduler().draw_rank(0), &back, &Recorder::deliver, tag);
+        sim::Scheduler& s = sims[p]->scheduler();
+        next_hop[p]->stage(s.draw_key(0, s.now() + 100_us), &fwd, &Recorder::deliver, tag);
+        prev_hop[p]->stage(s.draw_key(0, s.now() + 150_us), &back, &Recorder::deliver, tag);
       });
     }
   }

@@ -62,6 +62,63 @@ TEST(TcpSenderEdgeTest, TotalBlackoutBacksOffExponentially) {
   EXPECT_GT(wan->sender(0).rtt_estimator().backoff_shift(), 2);
 }
 
+// Consecutive RTOs on a black-holed path. Once the blackout has drained the
+// pipe nothing is ever ACKed again, so after the first timeout the k-th
+// next one fires min(rto * 2^k, max_rto) after the one before it, with rto
+// the un-backed-off timeout; Timeouts counts each one and CurRTO reports the
+// backed-off value, saturating at max_rto.
+TEST(TcpSenderEdgeTest, ConsecutiveTimeoutsDoubleThenSaturateAtMaxRto) {
+  WanPathConfig cfg;
+  cfg.enable_web100 = false;
+  cfg.path.ifq_capacity_packets = 10'000;
+  cfg.sender.rtt.max_rto = 3_s;
+  cfg.sender.trace_cwnd = true;  // each Reno RTO collapses cwnd to 1 MSS, at its exact time
+  auto wan = ScenarioBuilder{wan_path_spec(cfg)}.build(scenario::make_reno_factory());
+  const TcpSender& sender = wan->sender(0);
+  sim::Simulation& sim = wan->simulation();
+  sim.at(0_s, [&] { wan->sender(0).set_unlimited(true); });
+  net::PointToPointLink& link = *wan->device("sender", "receiver").link();
+  std::uint64_t timeouts_before = 0;
+  sim.at(2_s, [&] {
+    timeouts_before = sender.mib().Timeouts;
+    link.set_loss_rate(0.999999, sim::Rng{1});
+  });
+  // CurRTO as each timeout leaves it (a 1 ms poll; timeouts are >= 200 ms apart).
+  std::vector<sim::Time> cur_rto;
+  std::uint64_t seen = 0;
+  sim.every(1_ms, [&](sim::Time now) {
+    if (now > 2_s && sender.mib().Timeouts != seen) cur_rto.push_back(sender.mib().CurRTO);
+    seen = sender.mib().Timeouts;
+    return true;
+  });
+  wan->run_until(15_s);
+
+  std::vector<sim::Time> fired;
+  for (const auto& sample : sender.cwnd_trace().samples()) {
+    if (sample.t > 2_s && sample.value == static_cast<double>(sender.mss()))
+      fired.push_back(sample.t);
+  }
+  RttEstimator unbacked = sender.rtt_estimator();
+  unbacked.reset_backoff();
+  const sim::Time rto = unbacked.rto();
+  const sim::Time max_rto = 3_s;
+
+  ASSERT_GE(fired.size(), 6u);
+  EXPECT_EQ(sender.mib().Timeouts - timeouts_before, fired.size());
+  ASSERT_EQ(cur_rto.size(), fired.size());
+  std::size_t saturated = 0;
+  for (std::size_t k = 1; k <= fired.size(); ++k) {
+    const sim::Time backed_off = std::min(rto * (std::int64_t{1} << k), max_rto);
+    EXPECT_EQ(cur_rto[k - 1], backed_off) << "CurRTO after timeout " << k;
+    if (k < fired.size()) {
+      EXPECT_EQ(fired[k] - fired[k - 1], backed_off) << "gap after timeout " << k;
+    }
+    saturated += backed_off == max_rto;
+  }
+  EXPECT_GE(saturated, 3u) << "the run must reach the max_rto ceiling";
+  EXPECT_EQ(sender.mib().CurRTO, max_rto);
+}
+
 TEST(TcpSenderEdgeTest, RecoversAfterBlackoutEnds) {
   WanPathConfig cfg;
   cfg.enable_web100 = false;
